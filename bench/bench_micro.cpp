@@ -25,9 +25,15 @@
 #include "nn/optimizer.h"
 #include "plan/plan.h"
 #include "sim/simulator.h"
+#include "tests/tape_reference.h"
 
 namespace tpuperf {
 namespace {
+
+// The plan report's reference: explicit grad-disabled tape forward passes,
+// since every Predict* entry point replays a cached compiled plan.
+using testing_util::TapeBatch;
+using testing_util::TapeScore;
 
 // Shared fixtures, built once.
 struct Fixture {
@@ -121,13 +127,14 @@ const plan::CompiledPlan& SinglePlan() {
 }
 
 // Single-stream prediction latency, tape vs compiled-plan replay: the same
-// (kernel, tile) scored by PredictScore (tape build + per-op dispatch) and
-// by PredictWithPlan (static schedule over the preplanned slab). Outputs
-// are bit-identical; the gap is pure dispatch/allocation overhead.
+// (kernel, tile) scored by a tape forward pass (tape build + per-op
+// dispatch) and by PredictWithPlan (static schedule over the preplanned
+// slab). Outputs are bit-identical; the gap is pure dispatch/allocation
+// overhead.
 void BM_PredictScoreLatencyTape(benchmark::State& state) {
   auto& f = F();
   for (auto _ : state) {
-    benchmark::DoNotOptimize(f.model.PredictScore(f.prepared, &f.tile));
+    benchmark::DoNotOptimize(TapeScore(f.model, f.prepared, &f.tile));
   }
 }
 BENCHMARK(BM_PredictScoreLatencyTape);
@@ -773,7 +780,7 @@ void ReportPlanLatency() {
 
   double tape_single = 0;
   const double tape_single_sec = TimeReps(
-      [&] { tape_single = f.model.PredictScore(f.prepared, &f.tile); });
+      [&] { tape_single = TapeScore(f.model, f.prepared, &f.tile); });
   double plan_single = 0;
   const double plan_single_sec = TimeReps([&] {
     plan_single = f.model.PredictWithPlan(single_plan, f.prepared, &f.tile);
@@ -781,7 +788,7 @@ void ReportPlanLatency() {
 
   std::vector<double> tape_batch;
   const double tape_batch_sec =
-      TimeReps([&] { tape_batch = f.model.PredictBatch(b.packed); });
+      TimeReps([&] { tape_batch = TapeBatch(f.model, b.packed); });
   std::vector<double> plan_batch;
   const double plan_batch_sec = TimeReps(
       [&] { plan_batch = f.model.PredictBatchWithPlan(*batch_plan, b.packed); });
@@ -801,6 +808,15 @@ void ReportPlanLatency() {
   std::printf("batch-%d latency:       tape %8.1f us   plan %8.1f us   %.2fx\n",
               Batch32::kBatch, tape_batch_sec * 1e6, plan_batch_sec * 1e6,
               batch_speedup);
+  // The model's own entry points replay cached plans: they must agree too.
+  max_diff = std::max(
+      max_diff, std::abs(f.model.PredictScore(f.prepared, &f.tile) -
+                         tape_single));
+  const std::vector<double> predicted = f.model.PredictBatch(b.packed);
+  for (int i = 0; i < Batch32::kBatch; ++i) {
+    max_diff = std::max(max_diff, std::abs(predicted[static_cast<size_t>(i)] -
+                                           tape_batch[static_cast<size_t>(i)]));
+  }
   std::printf("max |plan - tape| = %.3g (must be 0)\n", max_diff);
   std::printf(
       "batch plan: %d instructions, %d logical -> %d physical buffers, "

@@ -8,9 +8,9 @@
 namespace tpuperf::tune {
 namespace {
 
-std::uint64_t KernelTileKey(const ir::Graph& kernel,
+std::uint64_t KernelTileKey(std::uint64_t kernel_fingerprint,
                             const ir::TileConfig& tile) {
-  std::uint64_t h = kernel.Fingerprint();
+  std::uint64_t h = kernel_fingerprint;
   for (const auto d : tile.dims) {
     h = sim::HashCombine(h, static_cast<std::uint64_t>(d));
   }
@@ -34,7 +34,7 @@ std::optional<double> HardwareEvaluator::EstimateKernel(
   const std::uint64_t fp = kernel.Fingerprint();
   if (compiled_.emplace(fp, true).second) spent_ += costs_.compile_sec;
 
-  const std::uint64_t key = KernelTileKey(kernel, tile);
+  const std::uint64_t key = KernelTileKey(fp, tile);
   const auto it = cache_.find(key);
   if (it != cache_.end()) return it->second;
 
@@ -47,12 +47,13 @@ std::optional<double> HardwareEvaluator::EstimateKernel(
 
 std::optional<double> LearnedEvaluator::EstimateKernel(
     const ir::Graph& kernel, const ir::TileConfig& tile) {
-  const std::uint64_t key = KernelTileKey(kernel, tile);
+  const std::uint64_t fp = kernel.Fingerprint();
+  const std::uint64_t key = KernelTileKey(fp, tile);
   const auto it = memo_.find(key);
   if (it != memo_.end()) return it->second;
 
   spent_ += inference_sec_;
-  const core::PreparedKernel& pk = cache_.Get(kernel, kernel.Fingerprint());
+  const core::PreparedKernel& pk = cache_.Get(kernel, fp);
   const ir::TileConfig* tile_arg =
       model_.config().use_tile_features ? &tile : nullptr;
   const double estimate = model_.PredictSeconds(pk, tile_arg);
@@ -67,12 +68,20 @@ std::vector<std::optional<double>> LearnedEvaluator::EstimateBatch(
   // Resolve memo hits first; collect the misses for packed inference.
   // Duplicate (kernel, tile) queries within one call (fusion configs repeat
   // kernels) are collapsed to a single prediction and fanned back out.
+  // Each distinct kernel is fingerprinted once per call; the fingerprint
+  // keys both the memo and the PreparedCache lookup.
   std::vector<size_t> pending;
+  std::vector<std::uint64_t> fingerprints(items.size());
   std::vector<std::uint64_t> keys(items.size());
   std::unordered_map<std::uint64_t, size_t> in_flight;
+  std::unordered_map<const ir::Graph*, std::uint64_t> kernel_fingerprints;
   pending.reserve(items.size());
   for (size_t i = 0; i < items.size(); ++i) {
-    keys[i] = KernelTileKey(*items[i].kernel, *items[i].tile);
+    const auto [fp, first_seen] =
+        kernel_fingerprints.try_emplace(items[i].kernel, 0);
+    if (first_seen) fp->second = items[i].kernel->Fingerprint();
+    fingerprints[i] = fp->second;
+    keys[i] = KernelTileKey(fingerprints[i], *items[i].tile);
     const auto it = memo_.find(keys[i]);
     if (it != memo_.end()) {
       out[i] = it->second;
@@ -97,7 +106,7 @@ std::vector<std::optional<double>> LearnedEvaluator::EstimateBatch(
       for (size_t p = begin; p < end; ++p) {
         const KernelTileRef& item = items[pending[p]];
         const core::PreparedKernel& pk =
-            cache_.Get(*item.kernel, item.kernel->Fingerprint());
+            cache_.Get(*item.kernel, fingerprints[pending[p]]);
         batch_items.push_back({&pk, use_tiles ? item.tile : nullptr});
       }
       const core::PreparedBatch batch = model_.PrepareBatch(batch_items);

@@ -91,12 +91,15 @@ class LearnedEvaluator : public CostEvaluator {
   std::optional<double> EstimateKernel(const ir::Graph& kernel,
                                        const ir::TileConfig& tile) override;
   // Packs all un-memoized queries into PreparedBatch chunks and runs them
-  // through LearnedCostModel::PredictBatch — one large forward pass instead
-  // of one per candidate. Sub-batches of kMaxBatch are scored concurrently
-  // on the global core::ThreadPool (this is how the tuners' candidate pools
-  // spread over the host's cores); results are exactly the 1-thread ones.
-  // Batched inference is charged a discounted per-query cost (large GEMMs
-  // amortize per-graph overhead).
+  // through LearnedCostModel::PredictBatchSeconds — one large forward pass
+  // instead of one per candidate, replaying a compiled plan from the
+  // model's plan cache (shared by every evaluator of the model). Each
+  // distinct kernel is fingerprinted once per call, for both the memo key
+  // and the PreparedCache lookup. Sub-batches of kMaxBatch are scored
+  // concurrently on the global core::ThreadPool (this is how the tuners'
+  // candidate pools spread over the host's cores); results are exactly the
+  // 1-thread ones. Batched inference is charged a discounted per-query cost
+  // (large GEMMs amortize per-graph overhead).
   std::vector<std::optional<double>> EstimateBatch(
       std::span<const KernelTileRef> items) override;
   double SpentSeconds() const override { return spent_; }

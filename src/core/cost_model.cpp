@@ -46,6 +46,7 @@ LearnedCostModel::LearnedCostModel(ModelConfig config)
       store_(std::make_unique<nn::ParamStore>()),
       init_rng_(config.seed),
       dropout_rng_(config.seed ^ 0xD20ull),
+      plans_(std::make_unique<PlanCache>()),
       node_scaler_(feat::kNodeScalarFeatures),
       tile_scaler_(feat::kTileFeatures),
       perf_scaler_(feat::kStaticPerfFeatures) {
@@ -251,8 +252,37 @@ nn::Tensor LearnedCostModel::Forward(nn::Tape& tape,
   return ForwardImpl(tape, kernel, tile, training, dropout_rng_);
 }
 
+std::shared_ptr<const plan::CompiledPlan> LearnedCostModel::PlanFor(
+    int num_kernels, int total_nodes, PlanUse* use) const {
+  std::shared_ptr<const plan::CompiledPlan> plan =
+      plans_->Lookup(num_kernels, total_nodes);
+  PlanUse how = PlanUse::kHit;
+  if (plan == nullptr) {
+    // Compiled outside the cache lock: two threads missing the same bucket
+    // at once both compile, and the later Insert wins. Either plan scores
+    // identically.
+    const std::pair<int, int> bucket =
+        PlanCache::Bucket(num_kernels, total_nodes);
+    try {
+      plan = CompilePlan(bucket.first, bucket.second);
+      plans_->Insert(num_kernels, total_nodes, plan);
+      how = PlanUse::kCompiled;
+    } catch (const std::exception&) {
+      how = PlanUse::kTape;
+    }
+  }
+  if (use != nullptr) *use = how;
+  return plan;
+}
+
 double LearnedCostModel::PredictScore(const PreparedKernel& kernel,
                                       const ir::TileConfig* tile) const {
+  if (kernel.num_nodes == 0) {
+    throw std::invalid_argument("PredictScore: empty kernel");
+  }
+  if (const auto plan = PlanFor(1, kernel.num_nodes, nullptr)) {
+    return PredictWithPlan(*plan, kernel, tile);
+  }
   const nn::ScopedPrecision scoped(precision_);
   nn::Tape tape(/*grad_enabled=*/false);
   return ForwardImpl(tape, kernel, tile, /*training=*/false, dropout_rng_)
@@ -265,8 +295,15 @@ double LearnedCostModel::PredictSeconds(const PreparedKernel& kernel,
   return config_.log_target ? std::exp(score) : score;
 }
 
-std::vector<double> LearnedCostModel::PredictBatch(
-    const PreparedBatch& batch) const {
+std::vector<double> LearnedCostModel::PredictBatch(const PreparedBatch& batch,
+                                                   PlanUse* use) const {
+  if (batch.num_kernels() == 0) {
+    throw std::invalid_argument("PredictBatch: empty batch");
+  }
+  if (const auto plan =
+          PlanFor(batch.num_kernels(), batch.total_nodes(), use)) {
+    return PredictBatchWithPlan(*plan, batch);
+  }
   const nn::ScopedPrecision scoped(precision_);
   nn::Tape tape(/*grad_enabled=*/false);
   const nn::Tensor out =

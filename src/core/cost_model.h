@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "core/model_config.h"
+#include "core/plan_cache.h"
 #include "features/featurizer.h"
 #include "features/scaler.h"
 #include "ir/graph.h"
@@ -46,6 +47,13 @@ struct PreparedKernel {
 struct BatchItem {
   const PreparedKernel* kernel = nullptr;
   const ir::TileConfig* tile = nullptr;
+};
+
+// How a Predict* call scored its batch (see LearnedCostModel::PredictBatch).
+enum class PlanUse {
+  kHit,       // replayed a plan already in the model's cache
+  kCompiled,  // compiled a plan for the batch's bucket, cached and replayed it
+  kTape,      // CompilePlan threw; scored on a grad-disabled tape instead
 };
 
 // N prepared kernels packed into one batch: concatenated node features, a
@@ -96,7 +104,7 @@ class LearnedCostModel {
   // ---- Prediction ----------------------------------------------------------
   // Raw model output for a kernel (+ optional tile config). For rank-loss
   // models this is a unitless score (lower = faster); for log-target models
-  // it is log(seconds).
+  // it is log(seconds). Replays a cached plan like PredictBatch.
   double PredictScore(const PreparedKernel& kernel,
                       const ir::TileConfig* tile = nullptr) const;
   // Absolute runtime in seconds (applies exp() for log-target models).
@@ -104,21 +112,28 @@ class LearnedCostModel {
                         const ir::TileConfig* tile = nullptr) const;
 
   // Batched prediction: one forward pass over the packed batch, with all
-  // dense layers running as single large GEMMs. Element i of the result
-  // equals PredictScore(kernel_i, tile_i) up to float accumulation (the
-  // packed ops reduce per segment in the same order, so in practice the
-  // outputs are identical).
-  std::vector<double> PredictBatch(const PreparedBatch& batch) const;
+  // dense layers running as single large GEMMs. Element i of the result is
+  // bit-identical to PredictScore(kernel_i, tile_i): a segment's result
+  // never depends on its batch-mates.
+  //
+  // Every Predict* entry point replays a compiled plan from the model's own
+  // PlanCache (core/plan_cache.h), compiling one for the batch's shape
+  // bucket on a miss. Only when CompilePlan throws (an injected
+  // plan.compile_fail, fused ops off, a configuration the planner rejects)
+  // does the call run the tape instead. Plan and tape are bit-identical, so
+  // the route never changes a score; `use`, when given, reports it.
+  std::vector<double> PredictBatch(const PreparedBatch& batch,
+                                   PlanUse* use = nullptr) const;
   // As PredictBatch, but in seconds (applies exp() for log-target models).
   std::vector<double> PredictBatchSeconds(const PreparedBatch& batch) const;
 
   // ---- Plan-compiled inference (src/plan) ----------------------------------
   // Compiles the model's exact inference op sequence into a static schedule
   // with liveness-planned buffers, valid for batches of up to `max_kernels`
-  // kernels and `max_total_nodes` packed nodes. The plan holds pointers into
-  // this model's parameters (AOT semantics: the model must outlive the plan,
-  // and the plan must be recompiled after parameter updates). Replay is
-  // bit-identical to PredictBatch/PredictScore at any thread-pool width.
+  // kernels and `max_total_nodes` packed nodes. The plan holds pointers to
+  // this model's live parameter matrices and copies none of their values,
+  // so it stays valid across parameter updates (the model must outlive it).
+  // Replay is bit-identical to a tape forward pass at any thread-pool width.
   // Requires fitted scalers and nn::FusedOpsEnabled(); throws
   // std::logic_error otherwise. `poison_dead_buffers` enables the
   // plan_test debug mode that NaN-fills retired buffers.
@@ -189,6 +204,11 @@ class LearnedCostModel {
   nn::Tensor ForwardBatchImpl(nn::Tape& tape, const PreparedBatch& batch,
                               bool training,
                               std::mt19937_64& dropout_rng) const;
+  // The cached plan covering a (batch, nodes) shape, compiling and caching
+  // one on a miss; null when CompilePlan throws.
+  std::shared_ptr<const plan::CompiledPlan> PlanFor(int num_kernels,
+                                                    int total_nodes,
+                                                    PlanUse* use) const;
   // Scales a tile config's features into a float row.
   std::vector<float> ScaledTileFeatures(const ir::TileConfig& tile) const;
 
@@ -196,6 +216,8 @@ class LearnedCostModel {
   std::unique_ptr<nn::ParamStore> store_;
   std::mt19937_64 init_rng_;
   mutable std::mt19937_64 dropout_rng_;
+
+  std::unique_ptr<PlanCache> plans_;  // see PredictBatch
 
   feat::FeatureScaler node_scaler_;
   feat::FeatureScaler tile_scaler_;

@@ -62,6 +62,31 @@ void ForEachWrite(const Instr& ins, Fn&& fn) {
   }
 }
 
+// Rebuilds the fused LSTM gate weights from the live gate parameters,
+// exactly as Lstm::ForwardBatched concatenates them on the tape per call:
+// w_all = ConcatCols(wi, wf, wg, wo) split into the input-side block (rows
+// [0, in)) and the recurrent block (rows [in, in+hidden)), plus the fused
+// [1, 4h] bias. Plain copies, so the replayed GEMMs see bit-identical
+// operands; the storage is reused across runs.
+void FuseLstmGates(const LstmPlanData& L, nn::Matrix& w_x, nn::Matrix& w_h,
+                   nn::Matrix& b_all) {
+  const int hidden = L.hidden;
+  Reshape(w_x, L.in_features, 4 * hidden, /*zero=*/false);
+  Reshape(w_h, hidden, 4 * hidden, /*zero=*/false);
+  Reshape(b_all, 1, 4 * hidden, /*zero=*/false);
+  for (int g = 0; g < 4; ++g) {
+    const nn::Matrix& w = *L.gate_w[g];
+    for (int r = 0; r < w.rows(); ++r) {
+      const auto src = w.row(r);
+      nn::Matrix& dst = r < L.in_features ? w_x : w_h;
+      const int dst_row = r < L.in_features ? r : r - L.in_features;
+      std::copy(src.begin(), src.end(), dst.row(dst_row).begin() + g * hidden);
+    }
+    const auto bias = L.gate_b[g]->row(0);
+    std::copy(bias.begin(), bias.end(), b_all.row(0).begin() + g * hidden);
+  }
+}
+
 }  // namespace
 
 PlanInput PlanInput::FromBatch(const core::PreparedBatch& batch) {
@@ -84,8 +109,9 @@ struct CompiledPlan::ExecutionContext {
   std::vector<std::int64_t> sq;               // squared segment offsets
   int max_len = 0;
   bool sq_valid = false;
-  // LSTM loop workspaces.
+  // LSTM loop workspaces and the fused gate weights rebuilt per Run.
   std::vector<int> length, order, ids;
+  nn::Matrix lstm_w_x, lstm_w_h, lstm_b_all;
 };
 
 CompiledPlan::CompiledPlan(Spec spec, const Options& options)
@@ -510,9 +536,10 @@ void CompiledPlan::RunLstm(ExecutionContext& ctx, const Instr& ins,
   }
   const int max_len = ctx.length[static_cast<size_t>(ctx.order.front())];
 
+  FuseLstmGates(L, ctx.lstm_w_x, ctx.lstm_w_h, ctx.lstm_b_all);
   // Input-side projection of every node, hoisted out of the time loop —
   // exactly the xw GEMM of Lstm::ForwardBatched.
-  nn::MatMulInto(xw, x, L.w_x);
+  nn::MatMulInto(xw, x, ctx.lstm_w_x);
   Reshape(hs, batch, hidden, /*zero=*/true);
   Reshape(cs, batch, hidden, /*zero=*/true);
 
@@ -544,7 +571,8 @@ void CompiledPlan::RunLstm(ExecutionContext& ctx, const Instr& ins,
       ctx.ids[static_cast<size_t>(k)] =
           offsets[static_cast<size_t>(ctx.order[static_cast<size_t>(k)])] + t;
     }
-    nn::LstmGatePreactForward(pre, xw, ctx.ids, hs, L.w_h, L.b_all);
+    nn::LstmGatePreactForward(pre, xw, ctx.ids, hs, ctx.lstm_w_h,
+                              ctx.lstm_b_all);
     Reshape(hc, active, 2 * hidden, /*zero=*/false);
     nn::LstmCellForward(hc, pre, cs, hidden, nullptr, nullptr);
     // Split [h | c] — the SliceColsOp pair of the tape path, as copies.

@@ -13,14 +13,15 @@
 // retired are reused), so a replay touches a fixed slab of memory.
 //
 // Determinism contract: CompiledPlan::Run produces bit-identical outputs to
-// the tape path (LearnedCostModel::PredictBatch / PredictScore) at any
-// core::ThreadPool width — every instruction bottoms out in the same
+// the tape path (LearnedCostModel::ForwardBatch / Forward on a grad-disabled
+// tape) at any core::ThreadPool width — every instruction bottoms out in the same
 // nn/op_kernels.h entry points the tape ops call, in the same order, with
-// the same operand values. The only compile-time materialization is the
-// LSTM's fused gate weight (an exact concatenation-of-copies, as
-// Lstm::ForwardBatched builds per call); like every weight pointer captured
-// in the schedule, it snapshots AOT semantics — recompile the plan after
-// parameter updates.
+// the same operand values. A plan captures parameter matrices by address
+// and copies none of their values: even the LSTM's fused gate weight is
+// rebuilt per Run from the live gates (the exact concatenation
+// Lstm::ForwardBatched builds per call). So a plan stays valid across
+// optimizer steps, Load, SetOutputBias and SetPrecision, and
+// LearnedCostModel caches plans for its whole lifetime.
 #pragma once
 
 #include <cstdint>
@@ -60,15 +61,15 @@ enum class OpKind {
   kLstmReduce,         // dst = final hidden states of the lockstep LSTM
 };
 
-// Compile-time state of the fused LSTM reduction: the exact gate-weight
-// concatenation Lstm::ForwardBatched builds on the tape per call
-// ([in+hidden, 4h] split into input-side and recurrent blocks, plus the
-// fused [1, 4h] bias), materialized once, and the logical scratch buffers
-// the time loop cycles through.
+// Compile-time state of the fused LSTM reduction: the four gates' live
+// parameters (each weight [in+hidden, hidden], each bias [1, hidden]), from
+// which every Run rebuilds the exact gate-weight concatenation
+// Lstm::ForwardBatched builds on the tape per call, and the logical scratch
+// buffers the time loop cycles through.
 struct LstmPlanData {
-  nn::Matrix w_x;    // [in_features, 4*hidden]
-  nn::Matrix w_h;    // [hidden, 4*hidden]
-  nn::Matrix b_all;  // [1, 4*hidden]
+  const nn::Matrix* gate_w[4] = {};  // input, forget, cell, output gates
+  const nn::Matrix* gate_b[4] = {};
+  int in_features = 0;
   int hidden = 0;
   // Logical buffer ids of the loop workspaces (live only inside the instr).
   int xw = -1;       // [N, 4h] hoisted input-side projection

@@ -228,46 +228,23 @@ int EmitTransformer(PlanBuilder& b, const nn::TransformerEncoder& encoder,
   return h;
 }
 
-// Materializes the fused LSTM gate weights exactly as Lstm::ForwardBatched
-// builds them on the tape per call: w_all = ConcatCols(wi, wf, wg, wo) split
-// into the input-side block (rows [0, in)) and the recurrent block (rows
-// [in, in+hidden)), plus the fused [1, 4h] bias — all plain copies, so the
-// replayed GEMMs see bit-identical operands.
+// Binds the four gates' live parameters; CompiledPlan::Run rebuilds the
+// fused gate weights from them exactly as Lstm::ForwardBatched does.
 int EmitLstm(PlanBuilder& b, const nn::Lstm& lstm, int h) {
   const int hidden = lstm.hidden();
-  const nn::Matrix* gate_w[4] = {&lstm.input_gate().weight_param()->value,
-                                 &lstm.forget_gate().weight_param()->value,
-                                 &lstm.cell_gate().weight_param()->value,
-                                 &lstm.output_gate().weight_param()->value};
-  const nn::Matrix* gate_b[4] = {&lstm.input_gate().bias_param()->value,
-                                 &lstm.forget_gate().bias_param()->value,
-                                 &lstm.cell_gate().bias_param()->value,
-                                 &lstm.output_gate().bias_param()->value};
-  const int z = gate_w[0]->rows();
-  const int in_features = z - hidden;
+  const nn::Linear* gates[4] = {&lstm.input_gate(), &lstm.forget_gate(),
+                                &lstm.cell_gate(), &lstm.output_gate()};
+  auto data = std::make_shared<LstmPlanData>();
+  for (int g = 0; g < 4; ++g) {
+    data->gate_w[g] = &gates[g]->weight_param()->value;
+    data->gate_b[g] = &gates[g]->bias_param()->value;
+  }
+  const int in_features = data->gate_w[0]->rows() - hidden;
   if (b.cols(h) != in_features) {
     throw std::logic_error("CompilePlan: LSTM input width mismatch");
   }
-  auto data = std::make_shared<LstmPlanData>();
+  data->in_features = in_features;
   data->hidden = hidden;
-  data->w_x = nn::Matrix(in_features, 4 * hidden);
-  data->w_h = nn::Matrix(hidden, 4 * hidden);
-  data->b_all = nn::Matrix(1, 4 * hidden);
-  for (int g = 0; g < 4; ++g) {
-    for (int r = 0; r < z; ++r) {
-      for (int j = 0; j < hidden; ++j) {
-        const float w = gate_w[g]->at(r, j);
-        if (r < in_features) {
-          data->w_x.at(r, g * hidden + j) = w;
-        } else {
-          data->w_h.at(r - in_features, g * hidden + j) = w;
-        }
-      }
-    }
-    for (int j = 0; j < hidden; ++j) {
-      data->b_all.at(0, g * hidden + j) = gate_b[g]->at(0, j);
-    }
-  }
   data->xw = b.NewBuffer(Rows::kNodes, 4 * hidden);
   data->h_state = b.NewBuffer(Rows::kBatch, hidden);
   data->c_state = b.NewBuffer(Rows::kBatch, hidden);

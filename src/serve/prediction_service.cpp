@@ -16,8 +16,6 @@
 #include "core/env.h"
 #include "core/fault_injection.h"
 #include "core/thread_pool.h"
-#include "nn/ops.h"
-#include "plan/plan.h"
 #include "serve/snapshot.h"
 #include "sim/target.h"
 
@@ -33,10 +31,6 @@ ServiceConfig ServiceConfig::FromEnv() {
       core::EnvInt("TPUPERF_SERVE_DEADLINE_US", c.deadline_us, 0, 10000000));
   c.num_threads =
       static_cast<int>(core::EnvInt("TPUPERF_SERVE_THREADS", 0, 0, 4096));
-  c.plan_enable = static_cast<int>(
-      core::EnvInt("TPUPERF_PLAN_ENABLE", c.plan_enable, 0, 1));
-  c.plan_cache = static_cast<int>(
-      core::EnvInt("TPUPERF_PLAN_CACHE", c.plan_cache, 0, 64));
   c.queue_cap = static_cast<int>(
       core::EnvInt("TPUPERF_SERVE_QUEUE_CAP", c.queue_cap, 0, 1 << 20));
   c.overload_policy = static_cast<OverloadPolicy>(core::EnvEnum(
@@ -55,55 +49,6 @@ ServiceConfig ServiceConfig::FromEnv() {
   return c;
 }
 
-PlanCache::PlanCache(std::size_t capacity) : capacity_(capacity) {}
-
-std::pair<int, int> PlanCache::Bucket(int num_kernels, int total_nodes) {
-  const auto next_pow2 = [](int v) {
-    int p = 1;
-    while (p < v) p *= 2;
-    return p;
-  };
-  // node_capacity must cover at least one node per kernel (the planner
-  // rejects max_total_nodes < max_kernels).
-  const int b = next_pow2(num_kernels < 1 ? 1 : num_kernels);
-  const int n = next_pow2(total_nodes < b ? b : total_nodes);
-  return {b, n};
-}
-
-std::shared_ptr<const plan::CompiledPlan> PlanCache::Lookup(int num_kernels,
-                                                            int total_nodes) {
-  const std::pair<int, int> bucket = Bucket(num_kernels, total_nodes);
-  std::lock_guard lock(mu_);
-  for (auto it = entries_.begin(); it != entries_.end(); ++it) {
-    if (it->bucket == bucket) {
-      entries_.splice(entries_.begin(), entries_, it);
-      return entries_.front().plan;
-    }
-  }
-  return nullptr;
-}
-
-void PlanCache::Insert(int num_kernels, int total_nodes,
-                       std::shared_ptr<const plan::CompiledPlan> plan) {
-  if (capacity_ == 0) return;
-  const std::pair<int, int> bucket = Bucket(num_kernels, total_nodes);
-  std::lock_guard lock(mu_);
-  for (auto it = entries_.begin(); it != entries_.end(); ++it) {
-    if (it->bucket == bucket) {
-      it->plan = std::move(plan);
-      entries_.splice(entries_.begin(), entries_, it);
-      return;
-    }
-  }
-  entries_.push_front(Entry{bucket, std::move(plan)});
-  while (entries_.size() > capacity_) entries_.pop_back();
-}
-
-std::size_t PlanCache::size() const {
-  std::lock_guard lock(mu_);
-  return entries_.size();
-}
-
 // One queued prediction. The promise is fulfilled by whichever worker runs
 // the batch this request was flushed into — or by the batcher (expiry), or
 // by an overloaded PredictAsync (shedding).
@@ -119,9 +64,6 @@ struct ServiceImpl {
   explicit ServiceImpl(int num_threads) : pool(num_threads) {}
 
   core::ThreadPool pool;
-
-  // Plan-compiled scoring (null when the plan path is disabled).
-  std::unique_ptr<PlanCache> plan_cache;
 
   std::mutex mu;               // guards queue + stopping
   std::condition_variable cv;  // batcher wakeup (new request / shutdown)
@@ -178,39 +120,25 @@ void NoteReducedPrecision(const core::LearnedCostModel& model,
   }
 }
 
-// Scores a packed batch, preferring a cached compiled plan (compiling one
-// for the batch's shape bucket on a miss). Any plan-path failure — a model
-// configuration the planner rejects, fused ops disabled, an injected
-// plan.compile_fail — falls back to the tape path, which is always
-// available; the two paths are bit-identical.
+// Scores a packed batch through the model's plan cache and counts how the
+// batch was scored. A compile failure (a configuration the planner rejects,
+// fused ops disabled, an injected plan.compile_fail) has already fallen back
+// to the bit-identical tape inside PredictBatch.
 std::vector<double> ScorePacked(const core::LearnedCostModel& model,
                                 const core::PreparedBatch& packed,
                                 ServiceImpl& impl) {
-  if (impl.plan_cache != nullptr && nn::FusedOpsEnabled()) {
-    const int b = packed.num_kernels();
-    const int n = packed.total_nodes();
-    std::shared_ptr<const plan::CompiledPlan> plan =
-        impl.plan_cache->Lookup(b, n);
-    if (plan != nullptr) {
-      impl.plan_hits.fetch_add(1, std::memory_order_relaxed);
-    } else {
-      impl.plan_misses.fetch_add(1, std::memory_order_relaxed);
-      const std::pair<int, int> bucket = PlanCache::Bucket(b, n);
-      try {
-        plan = model.CompilePlan(bucket.first, bucket.second);
-        impl.plan_cache->Insert(b, n, plan);
-        impl.plan_compiles.fetch_add(1, std::memory_order_relaxed);
-      } catch (...) {
-        plan = nullptr;  // fall through to the tape path
-      }
-    }
-    if (plan != nullptr) {
-      NoteReducedPrecision(model, impl);
-      return model.PredictBatchWithPlan(*plan, packed);
+  NoteReducedPrecision(model, impl);
+  core::PlanUse use = core::PlanUse::kTape;
+  std::vector<double> scores = model.PredictBatch(packed, &use);
+  if (use == core::PlanUse::kHit) {
+    impl.plan_hits.fetch_add(1, std::memory_order_relaxed);
+  } else {
+    impl.plan_misses.fetch_add(1, std::memory_order_relaxed);
+    if (use == core::PlanUse::kCompiled) {
+      impl.plan_compiles.fetch_add(1, std::memory_order_relaxed);
     }
   }
-  NoteReducedPrecision(model, impl);
-  return model.PredictBatch(packed);
+  return scores;
 }
 
 // How ProcessBatch answers this batch, decided once per batch against the
@@ -420,10 +348,6 @@ PredictionService::PredictionService(
                           ? config_.num_threads
                           : core::ThreadPool::DefaultNumThreads();
   impl_ = std::make_unique<ServiceImpl>(threads);
-  if (config_.plan_enable != 0 && config_.plan_cache > 0) {
-    impl_->plan_cache =
-        std::make_unique<PlanCache>(static_cast<std::size_t>(config_.plan_cache));
-  }
   impl_->batcher = std::thread([this] { BatcherLoop(); });
 }
 

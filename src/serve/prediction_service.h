@@ -55,7 +55,6 @@
 #include <chrono>
 #include <cstdint>
 #include <future>
-#include <list>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -68,10 +67,6 @@
 #include "core/trainer.h"
 #include "ir/graph.h"
 #include "ir/tile.h"
-
-namespace tpuperf::plan {
-class CompiledPlan;
-}  // namespace tpuperf::plan
 
 namespace tpuperf::serve {
 
@@ -128,14 +123,6 @@ struct ServiceConfig {
   // Worker threads processing flushed batches; 0 means
   // core::ThreadPool::DefaultNumThreads(). Env: TPUPERF_SERVE_THREADS.
   int num_threads = 0;
-  // Plan-compiled inference (src/plan): when nonzero, flushed batches are
-  // scored through a cached CompiledPlan (compiled once per batch-shape
-  // bucket, replayed thereafter) instead of building a tape per batch.
-  // Results are bit-identical either way. Env: TPUPERF_PLAN_ENABLE (0 or 1).
-  int plan_enable = 1;
-  // Capacity of the per-service plan cache, in distinct batch-shape buckets
-  // (LRU beyond that); 0 also disables the plan path. Env: TPUPERF_PLAN_CACHE.
-  int plan_cache = 8;
   // Admission control: queued-request cap (0 = unbounded, the pre-robustness
   // behavior). Env: TPUPERF_SERVE_QUEUE_CAP.
   int queue_cap = 4096;
@@ -167,40 +154,10 @@ struct ServiceConfig {
   static ServiceConfig FromEnv();
 };
 
-/// An LRU cache of compiled plans keyed by batch-shape bucket. Shapes are
-/// bucketed to the next power of two in both dimensions (batch size and
-/// packed node count) so nearby batch shapes share one plan — a plan compiled
-/// for capacity (2^a, 2^b) replays any batch at or under that capacity.
-/// Thread-safe; standalone so tests can exercise eviction directly.
-class PlanCache {
- public:
-  explicit PlanCache(std::size_t capacity);
-
-  /// The bucket (plan capacity) covering a concrete batch shape.
-  static std::pair<int, int> Bucket(int num_kernels, int total_nodes);
-
-  /// The cached plan whose bucket covers (num_kernels, total_nodes), or null.
-  /// A hit refreshes the entry's LRU position.
-  std::shared_ptr<const plan::CompiledPlan> Lookup(int num_kernels,
-                                                   int total_nodes);
-  /// Inserts a plan under Bucket(num_kernels, total_nodes), evicting the
-  /// least-recently-used entry when the cache is full.
-  void Insert(int num_kernels, int total_nodes,
-              std::shared_ptr<const plan::CompiledPlan> plan);
-
-  std::size_t size() const;
-  std::size_t capacity() const noexcept { return capacity_; }
-
- private:
-  struct Entry {
-    std::pair<int, int> bucket;
-    std::shared_ptr<const plan::CompiledPlan> plan;
-  };
-
-  const std::size_t capacity_;
-  mutable std::mutex mu_;
-  std::list<Entry> entries_;  // front = most recently used
-};
+/// Compiled plans are cached per model (core/plan_cache.h); the service's
+/// batches replay them through LearnedCostModel::PredictBatch. The alias
+/// keeps serve::PlanCache::Bucket naming the same bucketing.
+using PlanCache = core::PlanCache;
 
 /// Monotonic counters, readable at any time (atomics; a snapshot is not a
 /// consistent cut but every counter is exact once the service is idle).
@@ -217,10 +174,12 @@ struct ServiceStats {
   std::uint64_t deadline_flushes = 0;  // flushed because deadline_us elapsed
   std::uint64_t shutdown_flushes = 0;  // flushed by Shutdown() draining
   std::uint64_t batched_items = 0;     // requests summed over all batches
-  std::uint64_t plan_hits = 0;         // batches scored via a cached plan
+  std::uint64_t plan_hits = 0;         // batches that replayed a plan
+                                       // already in the model's cache
   std::uint64_t plan_misses = 0;       // batches whose bucket had no plan yet
-  std::uint64_t plan_compiles = 0;     // CompilePlan calls (== misses unless
-                                       // a compile failed and fell back)
+  std::uint64_t plan_compiles = 0;     // plans compiled for this service's
+                                       // batches (== misses unless a compile
+                                       // failed and the tape scored)
   std::uint64_t rejected = 0;          // PredictAsync threw OverloadedError
                                        // (never counted in `requests`)
   std::uint64_t shed = 0;              // accepted, then failed by shed_oldest

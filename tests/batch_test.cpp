@@ -1,11 +1,14 @@
-// Tests for the batched inference engine: PredictBatch parity with N
-// sequential PredictScore calls across the architecture grid, batched LSTM
+// Tests for the batched inference engine: batched-tape parity with N
+// sequential tape forward passes across the architecture grid (and
+// PredictBatch/PredictScore, which replay cached plans, bit-equal to those
+// tapes), batched LSTM
 // reduction parity, batched training gradients, and the PreparedCache
 // fingerprint-collision / reuse behaviour.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <random>
+#include <string>
 #include <vector>
 
 #include <algorithm>
@@ -17,9 +20,33 @@
 #include "nn/losses.h"
 #include "nn/ops.h"
 #include "nn/rnn.h"
+#include "tape_reference.h"
 
 namespace tpuperf::core {
 namespace {
+
+using testing_util::TapeBatch;
+using testing_util::TapeScore;
+
+// Two-sided parity for one batch: the batched tape must match sequential
+// single-kernel tapes, and PredictBatch/PredictScore (plan replay) must be
+// bit-equal to the batched and sequential tapes respectively.
+void ExpectBatchParity(LearnedCostModel& model, const PreparedBatch& batch,
+                       const std::vector<BatchItem>& items) {
+  const std::vector<double> batched = TapeBatch(model, batch);
+  const std::vector<double> predicted = model.PredictBatch(batch);
+  ASSERT_EQ(batched.size(), items.size());
+  ASSERT_EQ(predicted.size(), items.size());
+  for (size_t i = 0; i < items.size(); ++i) {
+    const double sequential =
+        TapeScore(model, *items[i].kernel, items[i].tile);
+    EXPECT_TRUE(std::isfinite(batched[i]));
+    EXPECT_NEAR(batched[i], sequential, 1e-5) << "kernel " << i;
+    EXPECT_EQ(predicted[i], batched[i]) << "PredictBatch kernel " << i;
+    EXPECT_EQ(model.PredictScore(*items[i].kernel, items[i].tile), sequential)
+        << "PredictScore kernel " << i;
+  }
+}
 
 // A random elementwise/dot kernel with at least `target_nodes` nodes.
 // Different seeds give different sizes and wiring, so packed batches mix
@@ -64,8 +91,8 @@ ModelConfig SmallConfig() {
 class BatchParityTest
     : public ::testing::TestWithParam<std::tuple<GnnKind, ReductionKind>> {};
 
-// PredictBatch over a mixed-size batch must match per-kernel PredictScore
-// for every GNN variant and every reduction mode.
+// A mixed-size batch must match per-kernel forward passes for every GNN
+// variant and every reduction mode.
 TEST_P(BatchParityTest, PredictBatchMatchesSequential) {
   const auto [gnn, reduction] = GetParam();
   ModelConfig config = SmallConfig();
@@ -95,15 +122,9 @@ TEST_P(BatchParityTest, PredictBatchMatchesSequential) {
   const PreparedBatch batch = model.PrepareBatch(items);
   EXPECT_EQ(batch.num_kernels(), static_cast<int>(items.size()));
 
-  const std::vector<double> batched = model.PredictBatch(batch);
-  ASSERT_EQ(batched.size(), items.size());
-  for (size_t i = 0; i < items.size(); ++i) {
-    const double sequential = model.PredictScore(prepared[i], &tiles[i]);
-    EXPECT_TRUE(std::isfinite(batched[i]));
-    EXPECT_NEAR(batched[i], sequential, 1e-5)
-        << "kernel " << i << " (" << ToString(gnn) << " + "
-        << ToString(reduction) << ")";
-  }
+  SCOPED_TRACE(std::string(ToString(gnn)) + " + " +
+               std::string(ToString(reduction)));
+  ExpectBatchParity(model, batch, items);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -128,11 +149,7 @@ TEST(BatchParity, UndirectedGraphSage) {
   for (const auto& kernel : kernels) prepared.push_back(model.Prepare(kernel));
   std::vector<BatchItem> items;
   for (const auto& pk : prepared) items.push_back({&pk, &tile});
-  const std::vector<double> batched =
-      model.PredictBatch(model.PrepareBatch(items));
-  for (size_t i = 0; i < prepared.size(); ++i) {
-    EXPECT_NEAR(batched[i], model.PredictScore(prepared[i], &tile), 1e-5);
-  }
+  ExpectBatchParity(model, model.PrepareBatch(items), items);
 }
 
 // Both kernel-embedding feature placements (option 2) must agree too.
@@ -151,11 +168,7 @@ TEST(BatchParity, KernelEmbeddingPlacement) {
   for (const auto& kernel : kernels) prepared.push_back(model.Prepare(kernel));
   std::vector<BatchItem> items;
   for (const auto& pk : prepared) items.push_back({&pk, &tile});
-  const std::vector<double> batched =
-      model.PredictBatch(model.PrepareBatch(items));
-  for (size_t i = 0; i < prepared.size(); ++i) {
-    EXPECT_NEAR(batched[i], model.PredictScore(prepared[i], &tile), 1e-5);
-  }
+  ExpectBatchParity(model, model.PrepareBatch(items), items);
 }
 
 // PredictBatchSeconds applies the log-target exp() per element.

@@ -1,6 +1,7 @@
 // Tests for the learned cost model: construction across the full
 // architecture grid (parameterized), forward determinism, feature-placement
-// options, save/load fidelity, and short-training behaviour.
+// options, save/load fidelity, cached plans that never go stale, and
+// short-training behaviour.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -12,7 +13,10 @@
 #include "dataset/families.h"
 #include "dataset/fusion.h"
 #include "ir/builder.h"
+#include "nn/losses.h"
+#include "nn/optimizer.h"
 #include "sim/simulator.h"
+#include "tape_reference.h"
 
 namespace tpuperf::core {
 namespace {
@@ -164,6 +168,120 @@ TEST(CostModel, SetOutputBiasShiftsPrediction) {
   model.SetOutputBias(static_cast<float>(before) + 5.0f);
   // Bias replacement moves the output (head weights unchanged).
   EXPECT_GT(model.PredictScore(pk), before);
+}
+
+// ---- Cached plans never go stale --------------------------------------------
+
+// A second kernel with a different node count, so the batch mixes segment
+// lengths and the plan cache holds several buckets.
+ir::Graph WiderKernel() {
+  ir::GraphBuilder b;
+  const ir::NodeId x = b.Parameter(ir::Shape({16, 32}));
+  const ir::NodeId w = b.Parameter(ir::Shape({32, 64}));
+  const ir::NodeId d = b.Dot(x, w);
+  const ir::NodeId t = b.Unary(ir::OpCode::kTanh, d);
+  b.Binary(ir::OpCode::kAdd, t, b.Unary(ir::OpCode::kExp, d));
+  return std::move(b).Build();
+}
+
+// Fills the model's plan cache, then checks after every kind of parameter
+// change that PredictBatch and PredictScore still equal a fresh tape forward
+// pass bit for bit. The default tile model reduces with the LSTM, whose
+// fused gate weights are the only concatenation a plan could have cached.
+class PlanStalenessTest : public ::testing::Test {
+ protected:
+  PlanStalenessTest()
+      : model_(SmallConfig()), kernels_{SmallKernel(), WiderKernel()} {
+    for (const auto& kernel : kernels_) model_.FitNodeScaler(kernel);
+    for (const auto& tile : tiles_) model_.FitTileScaler(tile);
+    model_.FinishFitting();
+    Reprepare();
+  }
+
+  // Prepared features depend on the precision (Prepare quantizes at int8).
+  void Reprepare() {
+    prepared_.clear();
+    for (const auto& kernel : kernels_) prepared_.push_back(model_.Prepare(kernel));
+    items_.clear();
+    for (size_t k = 0; k < prepared_.size(); ++k) {
+      for (const auto& tile : tiles_) items_.push_back({&prepared_[k], &tile});
+    }
+    batch_ = model_.PrepareBatch(items_);
+  }
+
+  // Asserts plan-replayed predictions equal the tape; returns the scores.
+  std::vector<double> ExpectMatchesTape(const std::string& when) {
+    SCOPED_TRACE(when);
+    const std::vector<double> tape = testing_util::TapeBatch(model_, batch_);
+    EXPECT_EQ(model_.PredictBatch(batch_), tape);
+    for (size_t i = 0; i < items_.size(); ++i) {
+      EXPECT_EQ(model_.PredictScore(*items_[i].kernel, items_[i].tile),
+                testing_util::TapeScore(model_, *items_[i].kernel,
+                                        items_[i].tile))
+          << "item " << i;
+    }
+    return tape;
+  }
+
+  LearnedCostModel model_;
+  std::vector<ir::Graph> kernels_;
+  std::vector<ir::TileConfig> tiles_ = {ir::TileConfig{{16, 64}},
+                                        ir::TileConfig{{1, 8}},
+                                        ir::TileConfig{{4, 32}}};
+  std::vector<PreparedKernel> prepared_;
+  std::vector<BatchItem> items_;
+  PreparedBatch batch_;
+};
+
+TEST_F(PlanStalenessTest, AdamStepsLoadBiasAndPrecisionKeepPlansExact) {
+  const std::vector<double> initial = ExpectMatchesTape("cache filled");
+
+  // Several optimizer steps on the rank loss.
+  nn::AdamConfig adam_config;
+  adam_config.learning_rate = 0.05;
+  nn::Adam adam(adam_config);
+  std::vector<double> targets;
+  for (size_t i = 0; i < items_.size(); ++i) {
+    targets.push_back(1.0 + static_cast<double>(i % 4));
+  }
+  for (int step = 0; step < 3; ++step) {
+    nn::Tape tape;
+    const nn::Tensor out = model_.ForwardBatch(tape, batch_, /*training=*/true);
+    const nn::Tensor loss = nn::PairwiseRankLoss(
+        tape, out, targets, nn::RankSurrogate::kHinge);
+    tape.Backward(loss);
+    const std::vector<nn::Parameter*> params = model_.params().params();
+    adam.Step(params);
+  }
+  const std::vector<double> trained = ExpectMatchesTape("after Adam steps");
+  EXPECT_NE(trained, initial);
+
+  // Load of a different snapshot (another init seed).
+  ModelConfig other_config = SmallConfig();
+  other_config.seed = 4242;
+  LearnedCostModel other(other_config);
+  for (const auto& kernel : kernels_) other.FitNodeScaler(kernel);
+  for (const auto& tile : tiles_) other.FitTileScaler(tile);
+  other.FinishFitting();
+  std::stringstream snapshot;
+  other.Save(snapshot);
+  model_.Load(snapshot);
+  Reprepare();
+  const std::vector<double> loaded = ExpectMatchesTape("after Load");
+  EXPECT_NE(loaded, trained);
+
+  model_.SetOutputBias(3.5f);
+  const std::vector<double> biased = ExpectMatchesTape("after SetOutputBias");
+  EXPECT_NE(biased, loaded);
+
+  // Precision round trip: exact at int8 against the int8 tape, and back at
+  // f32 the scores return to the pre-round-trip values.
+  model_.SetPrecision(nn::Precision::kInt8);
+  Reprepare();
+  ExpectMatchesTape("at int8");
+  model_.SetPrecision(nn::Precision::kFloat32);
+  Reprepare();
+  EXPECT_EQ(ExpectMatchesTape("back at f32"), biased);
 }
 
 TEST(PreparedCacheTest, ReusesPreparedKernels) {

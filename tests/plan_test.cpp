@@ -1,9 +1,10 @@
 // Tests for plan-compiled inference (src/plan): bit-exact parity between
-// CompiledPlan replay and the tape path across the full GNN × reduction
-// grid at pool widths 1 and 4, allocation-free replay after warm-up, the
-// NaN-poison validation of the liveness plan, PlanCache bucketing/LRU
-// eviction, the service's compile-once-replay-many path, and the
-// TPUPERF_PLAN_* env knobs.
+// CompiledPlan replay, the model's cached-plan Predict* entry points and an
+// explicit tape forward across the full GNN × reduction grid at pool widths
+// 1 and 4, allocation-free replay after warm-up, the NaN-poison validation
+// of the liveness plan, PlanCache bucketing/LRU eviction, the model-owned
+// cache's compile-once-replay-many path (direct and through the service),
+// and the bit-identical tape fallback when CompilePlan fails.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -13,16 +14,20 @@
 #include <memory>
 #include <new>
 #include <random>
+#include <string_view>
 #include <thread>
 #include <tuple>
 #include <vector>
 
 #include "core/cost_model.h"
+#include "core/fault_injection.h"
+#include "core/plan_cache.h"
 #include "core/thread_pool.h"
 #include "ir/builder.h"
 #include "nn/ops.h"
 #include "plan/plan.h"
 #include "serve/prediction_service.h"
+#include "tape_reference.h"
 
 // ---- Global allocation counter ---------------------------------------------
 // Replaces the global allocator for this test binary so ReplayIsAllocationFree
@@ -49,6 +54,23 @@ void operator delete(void* p) noexcept { std::free(p); }
 void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 void operator delete[](void* p) noexcept { std::free(p); }
 void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+// The nothrow forms (std::stable_sort's temporary buffer uses them) must come
+// from the same malloc, or the replaced deletes above free memory the
+// default nothrow new allocated (an alloc-dealloc mismatch under ASan).
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  try {
+    return CountedAlloc(size);
+  } catch (const std::bad_alloc&) {
+    return nullptr;
+  }
+}
+void* operator new[](std::size_t size, const std::nothrow_t& tag) noexcept {
+  return operator new(size, tag);
+}
+void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept {
+  std::free(p);
+}
 
 namespace tpuperf {
 namespace {
@@ -60,6 +82,8 @@ using core::ModelConfig;
 using core::PreparedBatch;
 using core::PreparedKernel;
 using core::ReductionKind;
+using testing_util::TapeBatch;
+using testing_util::TapeScore;
 
 // A random elementwise kernel with at least `target_nodes` nodes (the same
 // generator batch_test and serve_test use, so batches mix segment lengths).
@@ -140,6 +164,14 @@ struct PoolWidthGuard {
   }
 };
 
+// Arms a fault spec for one scope; restores the env-armed set on exit.
+struct ScopedFaults {
+  explicit ScopedFaults(std::string_view spec) {
+    core::FaultRegistry::Instance().ArmSpec(spec);
+  }
+  ~ScopedFaults() { core::FaultRegistry::Instance().ArmFromEnv(); }
+};
+
 // ---- Parity ----------------------------------------------------------------
 
 class PlanParityTest
@@ -147,7 +179,9 @@ class PlanParityTest
           std::tuple<int, GnnKind, ReductionKind>> {};
 
 // Replaying a compiled plan must be EXACTLY the tape path's output — batched
-// vs PredictBatch and single-kernel vs PredictScore — at every pool width.
+// vs a tape ForwardBatch and single-kernel vs a tape Forward — at every pool
+// width, and so must PredictBatch/PredictScore, which replay the model's
+// cached plans.
 TEST_P(PlanParityTest, BitExactVsTape) {
   const auto [width, gnn, reduction] = GetParam();
   PoolWidthGuard pool(width);
@@ -159,20 +193,29 @@ TEST_P(PlanParityTest, BitExactVsTape) {
   const auto plan = fx.model->CompilePlan(8, 512);
   const PreparedBatch batch = fx.MakeBatch();
 
-  const std::vector<double> tape = fx.model->PredictBatch(batch);
+  const std::vector<double> tape = TapeBatch(*fx.model, batch);
   const std::vector<double> planned =
       fx.model->PredictBatchWithPlan(*plan, batch);
+  const std::vector<double> predicted = fx.model->PredictBatch(batch);
   ASSERT_EQ(planned.size(), tape.size());
+  ASSERT_EQ(predicted.size(), tape.size());
   for (size_t i = 0; i < tape.size(); ++i) {
     EXPECT_TRUE(std::isfinite(planned[i]));
     EXPECT_EQ(planned[i], tape[i])
         << "kernel " << i << " (" << ToString(gnn) << " + "
         << ToString(reduction) << ", width " << width << ")";
+    EXPECT_EQ(predicted[i], tape[i]) << "PredictBatch kernel " << i;
   }
   for (size_t i = 0; i < fx.prepared.size(); ++i) {
+    const double single_tape =
+        TapeScore(*fx.model, fx.prepared[i], &fx.tiles[i]);
     EXPECT_EQ(fx.model->PredictWithPlan(*plan, fx.prepared[i], &fx.tiles[i]),
-              fx.model->PredictScore(fx.prepared[i], &fx.tiles[i]))
+              single_tape)
         << "single kernel " << i;
+    EXPECT_EQ(fx.model->PredictScore(fx.prepared[i], &fx.tiles[i]),
+              single_tape)
+        << "PredictScore kernel " << i;
+    EXPECT_EQ(single_tape, tape[i]) << "tape single vs batched " << i;
   }
 }
 
@@ -193,7 +236,7 @@ TEST(PlanParity, UndirectedGraphSage) {
 
   const auto plan = fx.model->CompilePlan(8, 512);
   const PreparedBatch batch = fx.MakeBatch();
-  const std::vector<double> tape = fx.model->PredictBatch(batch);
+  const std::vector<double> tape = TapeBatch(*fx.model, batch);
   const std::vector<double> planned =
       fx.model->PredictBatchWithPlan(*plan, batch);
   ASSERT_EQ(planned.size(), tape.size());
@@ -212,7 +255,7 @@ TEST(PlanParity, KernelEmbeddingPlacement) {
 
   const auto plan = fx.model->CompilePlan(8, 512);
   const PreparedBatch batch = fx.MakeBatch();
-  const std::vector<double> tape = fx.model->PredictBatch(batch);
+  const std::vector<double> tape = TapeBatch(*fx.model, batch);
   const std::vector<double> planned =
       fx.model->PredictBatchWithPlan(*plan, batch);
   for (size_t i = 0; i < tape.size(); ++i) {
@@ -231,7 +274,7 @@ TEST(PlanParity, SmallerBatchesThroughOnePlan) {
       items.push_back({&fx.prepared[i], &fx.tiles[i]});
     }
     const PreparedBatch batch = fx.model->PrepareBatch(items);
-    const std::vector<double> tape = fx.model->PredictBatch(batch);
+    const std::vector<double> tape = TapeBatch(*fx.model, batch);
     const std::vector<double> planned =
         fx.model->PredictBatchWithPlan(*plan, batch);
     for (size_t i = 0; i < take; ++i) {
@@ -258,7 +301,7 @@ TEST(PlanLiveness, PoisonedDeadBuffersNeverRead) {
     const auto poisoned =
         fx.model->CompilePlan(8, 512, /*poison_dead_buffers=*/true);
     const PreparedBatch batch = fx.MakeBatch();
-    const std::vector<double> tape = fx.model->PredictBatch(batch);
+    const std::vector<double> tape = TapeBatch(*fx.model, batch);
     const std::vector<double> planned =
         fx.model->PredictBatchWithPlan(*poisoned, batch);
     for (size_t i = 0; i < tape.size(); ++i) {
@@ -302,7 +345,7 @@ TEST(PlanReplay, ReplayIsAllocationFree) {
   g_count_allocations.store(false, std::memory_order_relaxed);
 
   EXPECT_EQ(g_allocation_count.load(std::memory_order_relaxed), 0u);
-  const std::vector<double> tape = fx.model->PredictBatch(batch);
+  const std::vector<double> tape = TapeBatch(*fx.model, batch);
   for (size_t i = 0; i < tape.size(); ++i) EXPECT_EQ(out[i], tape[i]);
 }
 
@@ -312,10 +355,10 @@ TEST(PlanReplay, ConcurrentReplayOfSharedPlan) {
   Fixture fx(SmallConfig());
   const auto plan = fx.model->CompilePlan(8, 512);
   const PreparedBatch batch = fx.MakeBatch();
-  const std::vector<double> tape = fx.model->PredictBatch(batch);
+  const std::vector<double> tape = TapeBatch(*fx.model, batch);
   std::vector<double> single(fx.prepared.size());
   for (size_t i = 0; i < fx.prepared.size(); ++i) {
-    single[i] = fx.model->PredictScore(fx.prepared[i], &fx.tiles[i]);
+    single[i] = TapeScore(*fx.model, fx.prepared[i], &fx.tiles[i]);
   }
 
   constexpr int kThreads = 4;
@@ -368,20 +411,22 @@ TEST(PlanCompile, RunRejectsOverCapacityBatches) {
 // ---- PlanCache -------------------------------------------------------------
 
 TEST(PlanCacheTest, BucketsRoundUpToPowersOfTwo) {
-  EXPECT_EQ(serve::PlanCache::Bucket(1, 1), (std::pair<int, int>{1, 1}));
-  EXPECT_EQ(serve::PlanCache::Bucket(3, 100), (std::pair<int, int>{4, 128}));
-  EXPECT_EQ(serve::PlanCache::Bucket(4, 128), (std::pair<int, int>{4, 128}));
-  EXPECT_EQ(serve::PlanCache::Bucket(5, 129), (std::pair<int, int>{8, 256}));
+  EXPECT_EQ(core::PlanCache::Bucket(1, 1), (std::pair<int, int>{1, 1}));
+  EXPECT_EQ(core::PlanCache::Bucket(3, 100), (std::pair<int, int>{4, 128}));
+  EXPECT_EQ(core::PlanCache::Bucket(4, 128), (std::pair<int, int>{4, 128}));
+  EXPECT_EQ(core::PlanCache::Bucket(5, 129), (std::pair<int, int>{8, 256}));
   // The node capacity is raised to at least the batch capacity so the
   // compiled plan is always valid.
-  EXPECT_EQ(serve::PlanCache::Bucket(8, 3), (std::pair<int, int>{8, 8}));
+  EXPECT_EQ(core::PlanCache::Bucket(8, 3), (std::pair<int, int>{8, 8}));
+  // The serving name is the same bucketing.
+  EXPECT_EQ(serve::PlanCache::Bucket(5, 129), core::PlanCache::Bucket(5, 129));
 }
 
 TEST(PlanCacheTest, SharedBucketHitsAndLruEviction) {
   Fixture fx(SmallConfig());
   const auto plan = fx.model->CompilePlan(4, 128);
 
-  serve::PlanCache cache(2);
+  core::PlanCache cache(2);
   EXPECT_EQ(cache.Lookup(3, 100), nullptr);
   cache.Insert(3, 100, plan);  // bucket (4, 128)
   EXPECT_EQ(cache.size(), 1u);
@@ -401,15 +446,65 @@ TEST(PlanCacheTest, SharedBucketHitsAndLruEviction) {
   EXPECT_EQ(cache.Lookup(16, 512).get(), plan.get());
 }
 
+// ---- The model-owned cache -------------------------------------------------
+
+// PredictBatch compiles one plan per shape bucket and replays it for every
+// later batch in that bucket; sub-batches in a smaller bucket compile their
+// own. PredictScore shares the cache through (1, n) buckets.
+TEST(PlanModelCache, CompilesOncePerBucket) {
+  Fixture fx(SmallConfig());
+  const PreparedBatch batch = fx.MakeBatch();
+  const std::vector<double> tape = TapeBatch(*fx.model, batch);
+
+  core::PlanUse use = core::PlanUse::kTape;
+  EXPECT_EQ(fx.model->PredictBatch(batch, &use), tape);
+  EXPECT_EQ(use, core::PlanUse::kCompiled);
+  for (int round = 0; round < 3; ++round) {
+    EXPECT_EQ(fx.model->PredictBatch(batch, &use), tape);
+    EXPECT_EQ(use, core::PlanUse::kHit);
+  }
+
+  std::vector<BatchItem> two = {{&fx.prepared[0], &fx.tiles[0]},
+                                {&fx.prepared[1], &fx.tiles[1]}};
+  const PreparedBatch small = fx.model->PrepareBatch(two);
+  EXPECT_EQ(fx.model->PredictBatch(small, &use), TapeBatch(*fx.model, small));
+  EXPECT_EQ(use, core::PlanUse::kCompiled);
+  EXPECT_EQ(fx.model->PredictBatch(small, &use), TapeBatch(*fx.model, small));
+  EXPECT_EQ(use, core::PlanUse::kHit);
+}
+
+// A forced plan.compile_fail sends every Predict* call to the tape, which
+// must stay bit-identical; once the fault is disarmed the next call
+// compiles and caches a plan as usual.
+TEST(PlanModelCache, CompileFailureFallsBackToIdenticalTape) {
+  Fixture fx(SmallConfig());
+  const PreparedBatch batch = fx.MakeBatch();
+  const std::vector<double> tape = TapeBatch(*fx.model, batch);
+  {
+    ScopedFaults faults("plan.compile_fail:every=1");
+    core::PlanUse use = core::PlanUse::kHit;
+    EXPECT_EQ(fx.model->PredictBatch(batch, &use), tape);
+    EXPECT_EQ(use, core::PlanUse::kTape);
+    for (size_t i = 0; i < fx.prepared.size(); ++i) {
+      EXPECT_EQ(fx.model->PredictScore(fx.prepared[i], &fx.tiles[i]),
+                TapeScore(*fx.model, fx.prepared[i], &fx.tiles[i]))
+          << "kernel " << i;
+    }
+  }
+  core::PlanUse use = core::PlanUse::kTape;
+  EXPECT_EQ(fx.model->PredictBatch(batch, &use), tape);
+  EXPECT_EQ(use, core::PlanUse::kCompiled);
+}
+
 // ---- Service integration ---------------------------------------------------
 
 // Identical flush compositions must compile ONE plan and replay it for every
-// later batch, with results still exactly PredictScore's.
+// later batch, with results still exactly the tape's.
 TEST(PlanService, CompileOnceReplayMany) {
   Fixture fx(SmallConfig());
   std::vector<double> direct(fx.kernels.size());
   for (size_t i = 0; i < fx.kernels.size(); ++i) {
-    direct[i] = fx.model->PredictScore(fx.prepared[i], &fx.tiles[i]);
+    direct[i] = TapeScore(*fx.model, fx.prepared[i], &fx.tiles[i]);
   }
 
   serve::ServiceConfig config;
@@ -443,53 +538,31 @@ TEST(PlanService, CompileOnceReplayMany) {
   EXPECT_EQ(stats.plan_hits, static_cast<std::uint64_t>(kRounds - 1));
 }
 
-// plan_enable=0 must bypass the plan path entirely — and stay bit-identical.
-TEST(PlanService, DisabledPlanPathStillExact) {
+// With plan.compile_fail forced, every served batch is scored on the tape:
+// still bit-identical, counted as a miss, never as a compile or a hit.
+TEST(PlanService, ForcedCompileFailureServesTapeExactly) {
   Fixture fx(SmallConfig(), 3);
-  serve::ServiceConfig config;
-  config.plan_enable = 0;
+  std::vector<double> direct(fx.kernels.size());
+  for (size_t i = 0; i < fx.kernels.size(); ++i) {
+    direct[i] = TapeScore(*fx.model, fx.prepared[i], &fx.tiles[i]);
+  }
+  ScopedFaults faults("plan.compile_fail:every=1");
   auto served_model = std::make_unique<LearnedCostModel>(SmallConfig());
   for (const auto& kernel : fx.kernels) served_model->FitNodeScaler(kernel);
   for (const auto& tile : fx.tiles) served_model->FitTileScaler(tile);
   served_model->FinishFitting();
-  serve::PredictionService service(std::move(served_model), config);
+  serve::PredictionService service(std::move(served_model),
+                                   serve::ServiceConfig{});
 
   for (size_t i = 0; i < fx.kernels.size(); ++i) {
-    EXPECT_EQ(service.Predict(fx.kernels[i], &fx.tiles[i]),
-              fx.model->PredictScore(fx.prepared[i], &fx.tiles[i]));
+    EXPECT_EQ(service.Predict(fx.kernels[i], &fx.tiles[i]), direct[i]);
   }
   service.Shutdown();
   const serve::ServiceStats stats = service.stats();
   EXPECT_EQ(stats.plan_hits, 0u);
-  EXPECT_EQ(stats.plan_misses, 0u);
   EXPECT_EQ(stats.plan_compiles, 0u);
-}
-
-// ---- Config knobs ----------------------------------------------------------
-
-TEST(PlanConfig, FromEnvParsesStrictly) {
-  ::setenv("TPUPERF_PLAN_ENABLE", "0", 1);
-  ::setenv("TPUPERF_PLAN_CACHE", "16", 1);
-  serve::ServiceConfig c = serve::ServiceConfig::FromEnv();
-  EXPECT_EQ(c.plan_enable, 0);
-  EXPECT_EQ(c.plan_cache, 16);
-
-  // Malformed values are ignored (strict full-string parse), keeping the
-  // defaults; well-formed out-of-range values clamp.
-  ::setenv("TPUPERF_PLAN_ENABLE", "yes", 1);
-  ::setenv("TPUPERF_PLAN_CACHE", "8x", 1);
-  c = serve::ServiceConfig::FromEnv();
-  EXPECT_EQ(c.plan_enable, serve::ServiceConfig{}.plan_enable);
-  EXPECT_EQ(c.plan_cache, serve::ServiceConfig{}.plan_cache);
-
-  ::setenv("TPUPERF_PLAN_ENABLE", "", 1);
-  ::setenv("TPUPERF_PLAN_CACHE", "100", 1);
-  c = serve::ServiceConfig::FromEnv();
-  EXPECT_EQ(c.plan_enable, serve::ServiceConfig{}.plan_enable);
-  EXPECT_EQ(c.plan_cache, 64);  // clamped to the cap
-
-  ::unsetenv("TPUPERF_PLAN_ENABLE");
-  ::unsetenv("TPUPERF_PLAN_CACHE");
+  EXPECT_EQ(stats.plan_misses, stats.batches);
+  EXPECT_EQ(stats.batches, static_cast<std::uint64_t>(fx.kernels.size()));
 }
 
 }  // namespace

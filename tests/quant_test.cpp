@@ -37,6 +37,7 @@
 #include "plan/plan.h"
 #include "serve/prediction_service.h"
 #include "sim/simulator.h"
+#include "tape_reference.h"
 
 namespace tpuperf::nn {
 namespace {
@@ -594,7 +595,8 @@ TEST(QuantPlan, ReplayMatchesTapeAtReducedPrecision) {
     // quantized replay is bit-identical to the quantized tape path.
     const auto plan = fx.model->CompilePlan(batch.num_kernels(),
                                             batch.total_nodes());
-    const std::vector<double> tape = fx.model->PredictBatch(batch);
+    const std::vector<double> tape =
+        testing_util::TapeBatch(*fx.model, batch);
     const std::vector<double> replay =
         fx.model->PredictBatchWithPlan(*plan, batch);
     ASSERT_EQ(tape.size(), replay.size());
@@ -606,7 +608,10 @@ TEST(QuantPlan, ReplayMatchesTapeAtReducedPrecision) {
         fx.model->CompilePlan(1, fx.prepared[0].num_nodes);
     EXPECT_EQ(fx.model->PredictWithPlan(*single, fx.prepared[0],
                                         &fx.tiles[0]),
-              fx.model->PredictScore(fx.prepared[0], &fx.tiles[0]));
+              testing_util::TapeScore(*fx.model, fx.prepared[0],
+                                      &fx.tiles[0]));
+    // The model's cached (bucketed) plans replay the same values.
+    EXPECT_EQ(fx.model->PredictBatch(batch), tape);
   }
 }
 

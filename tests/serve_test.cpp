@@ -1,6 +1,6 @@
 // Tests for the serving engine: micro-batcher flush triggers (size /
-// deadline / shutdown), exact parity between served results and direct
-// PredictScore calls, concurrent-client stress at pool widths 1 and 4 (run
+// deadline / shutdown), exact parity between served results, direct
+// PredictScore calls and a tape forward pass, concurrent-client stress at pool widths 1 and 4 (run
 // under TSan in CI), model-snapshot round-trips, and graceful shutdown
 // draining.
 #include <gtest/gtest.h>
@@ -22,9 +22,12 @@
 #include "ir/builder.h"
 #include "serve/prediction_service.h"
 #include "serve/snapshot.h"
+#include "tape_reference.h"
 
 namespace tpuperf::serve {
 namespace {
+
+using testing_util::TapeScore;
 
 // A random elementwise kernel with at least `target_nodes` nodes (the same
 // generator shape batch_test uses, so served batches mix segment lengths).
@@ -89,9 +92,9 @@ struct Fixture {
 
 // ---- Parity ----------------------------------------------------------------
 
-// A served prediction must be EXACTLY PredictScore's output for the same
-// (kernel, tile): batching is a throughput optimization, not an accuracy
-// trade.
+// A served prediction must be EXACTLY PredictScore's output (and the
+// tape's) for the same (kernel, tile): batching is a throughput
+// optimization, not an accuracy trade.
 TEST(ServeParity, ExactMatchVsPredictScore) {
   Fixture fx;
   auto reference = fx.MakeModel();
@@ -114,7 +117,10 @@ TEST(ServeParity, ExactMatchVsPredictScore) {
     const size_t i = which[r];
     const core::PreparedKernel prepared =
         reference->Prepare(fx.kernels[i]);
-    const double direct = reference->PredictScore(prepared, &fx.tiles[i]);
+    // Two-sided: the served (plan-replayed) score must equal both a tape
+    // forward pass and the reference model's own PredictScore.
+    const double direct = TapeScore(*reference, prepared, &fx.tiles[i]);
+    EXPECT_EQ(reference->PredictScore(prepared, &fx.tiles[i]), direct);
     const PredictResult served = futures[r].get();
     EXPECT_TRUE(std::isfinite(served.value));
     EXPECT_FALSE(served.degraded);
@@ -143,7 +149,7 @@ TEST(ServeParity, NullTileMatches) {
   auto ref = make();
   PredictionService service(make());
   for (const auto& kernel : fx.kernels) {
-    const double direct = ref->PredictScore(ref->Prepare(kernel), nullptr);
+    const double direct = TapeScore(*ref, ref->Prepare(kernel), nullptr);
     EXPECT_EQ(service.Predict(kernel), direct);
   }
 }
@@ -252,8 +258,8 @@ TEST_P(ServeStressTest, ConcurrentClients) {
   auto reference = fx.MakeModel();
   std::vector<double> direct(fx.kernels.size());
   for (size_t i = 0; i < fx.kernels.size(); ++i) {
-    direct[i] = reference->PredictScore(reference->Prepare(fx.kernels[i]),
-                                        &fx.tiles[i]);
+    direct[i] = TapeScore(*reference, reference->Prepare(fx.kernels[i]),
+                          &fx.tiles[i]);
   }
 
   ServiceConfig config;

@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <memory>
 #include <cstdlib>
 #include <mutex>
 #include <random>
@@ -521,6 +522,86 @@ TEST(ParallelParity, PredictBatchExactAcrossGrid) {
       }
     }
   }
+}
+
+// N caller threads share one model, and so its plan cache: concurrent
+// compile-on-miss, LRU refreshes and replays of shared plans over batches
+// of mixed shapes must reproduce the 1-thread scores exactly. Runs under
+// TSan in CI.
+TEST(ParallelParity, ConcurrentPredictBatchSharesPlanCache) {
+  PoolGuard guard;
+  ThreadPool::SetNumThreads(4);
+  std::vector<ir::Graph> kernels;
+  for (int k = 0; k < 6; ++k) {
+    kernels.push_back(
+        RandomKernel(2000 + static_cast<std::uint64_t>(k) * 31, 4 + 9 * k));
+  }
+  const std::vector<ir::TileConfig> tiles = {
+      {{16, 64}}, {{1, 8}}, {{8, 8}}, {{4, 32}}, {{2, 16}}, {{32, 4}}};
+  const auto make_model = [&] {
+    auto model = std::make_unique<LearnedCostModel>(SmallConfig());
+    for (const auto& kernel : kernels) model->FitNodeScaler(kernel);
+    for (const auto& tile : tiles) model->FitTileScaler(tile);
+    model->FinishFitting();
+    return model;
+  };
+  const std::unique_ptr<LearnedCostModel> reference = make_model();
+  const std::unique_ptr<LearnedCostModel> shared = make_model();
+
+  std::vector<PreparedKernel> prepared;
+  for (const auto& kernel : kernels) {
+    prepared.push_back(reference->Prepare(kernel));
+  }
+  // Batches of 1..6 kernels starting at different offsets: several
+  // (batch, node) buckets, each hit by more than one batch.
+  std::vector<PreparedBatch> batches;
+  for (size_t size = 1; size <= kernels.size(); ++size) {
+    for (size_t start = 0; start < kernels.size(); start += 2) {
+      std::vector<BatchItem> items;
+      for (size_t j = 0; j < size; ++j) {
+        const size_t k = (start + j) % kernels.size();
+        items.push_back({&prepared[k], &tiles[k]});
+      }
+      batches.push_back(reference->PrepareBatch(items));
+    }
+  }
+
+  ThreadPool::SetNumThreads(1);
+  std::vector<std::vector<double>> expected;
+  for (const PreparedBatch& batch : batches) {
+    expected.push_back(reference->PredictBatch(batch));
+  }
+  std::vector<double> expected_single;
+  for (size_t k = 0; k < prepared.size(); ++k) {
+    expected_single.push_back(reference->PredictScore(prepared[k], &tiles[k]));
+  }
+
+  ThreadPool::SetNumThreads(4);
+  constexpr int kThreads = 4;
+  constexpr int kRounds = 3;
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (int round = 0; round < kRounds; ++round) {
+        for (size_t n = 0; n < batches.size(); ++n) {
+          // Each thread walks the batches in its own order.
+          const size_t b = (n * (2 * static_cast<size_t>(t) + 1) + round) %
+                           batches.size();
+          if (shared->PredictBatch(batches[b]) != expected[b]) {
+            mismatches.fetch_add(1);
+          }
+          const size_t k = (b + static_cast<size_t>(t)) % prepared.size();
+          if (shared->PredictScore(prepared[k], &tiles[k]) !=
+              expected_single[k]) {
+            mismatches.fetch_add(1);
+          }
+        }
+      }
+    });
+  }
+  for (auto& thread : threads) thread.join();
+  EXPECT_EQ(mismatches.load(), 0);
 }
 
 // Training must be unaffected by pool width: RNG draws stay serial and the
