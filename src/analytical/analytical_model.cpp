@@ -39,25 +39,59 @@ double AlignmentEfficiency(std::int64_t extent, std::int64_t lanes) {
   return static_cast<double>(extent) / static_cast<double>(rounded);
 }
 
+// a * b rounded once, in a form the compiler cannot fuse into a following
+// addition (a zero addend leaves the product's rounding unchanged).
+double RoundedProduct(double a, double b) { return std::fma(a, b, 0.0); }
+
 }  // namespace
+
+AnalyticalModel::KernelSummary AnalyticalModel::Summarize(
+    const Graph& kernel) const {
+  KernelSummary summary;
+  const NodeId root = kernel.RootId();
+  if (root == ir::kInvalidNode) return summary;
+  summary.has_root = true;
+  summary.root_shape = kernel.node(root).shape;
+  summary.totals = ir::analysis::AnalyzeKernel(kernel);
+
+  std::vector<bool> weight_like(static_cast<size_t>(kernel.num_nodes()), false);
+  for (const Node& user : kernel.nodes()) {
+    if ((user.op == OpCode::kDot || user.op == OpCode::kConvolution) &&
+        user.operands.size() >= 2) {
+      weight_like[static_cast<size_t>(user.operands[1])] = true;
+    }
+  }
+  for (const Node& n : kernel.nodes()) {
+    if (n.op != OpCode::kParameter && n.op != OpCode::kConstant) continue;
+    summary.inputs.push_back({static_cast<double>(n.shape.byte_size()),
+                              weight_like[static_cast<size_t>(n.id)]});
+  }
+  for (const NodeId id : kernel.OutputIds()) {
+    summary.output_bytes.push_back(
+        static_cast<double>(kernel.node(id).shape.byte_size()));
+  }
+  return summary;
+}
 
 double AnalyticalModel::EstimateRuntime(const Graph& kernel,
                                         const TileConfig& tile) const {
-  const NodeId root = kernel.RootId();
-  if (root == ir::kInvalidNode) return 0;
-  const ir::Shape& root_shape = kernel.node(root).shape;
-  const std::int64_t iters = std::max<std::int64_t>(
-      1, ir::TileIterations(tile, root_shape));
-  const double inv_iters = 1.0 / static_cast<double>(iters);
+  return EstimateRuntime(Summarize(kernel), tile);
+}
 
-  const auto summary = ir::analysis::AnalyzeKernel(kernel);
+double AnalyticalModel::EstimateRuntime(const KernelSummary& summary,
+                                        const TileConfig& tile) const {
+  if (!summary.has_root) return 0;
+  const std::int64_t iters = std::max<std::int64_t>(
+      1, ir::TileIterations(tile, summary.root_shape));
+  const double inv_iters = 1.0 / static_cast<double>(iters);
+  const ir::analysis::CostSummary& totals = summary.totals;
 
   // Computation estimate: MXU and vector pipelines with heuristic base
   // utilizations and systolic-array padding waste from the tile extents;
   // transcendentals are folded into the vector stream (the model has no
   // notion of the special functional unit).
   double mxu_align = 1.0;
-  if (summary.mxu_flops > 0 && !tile.dims.empty()) {
+  if (totals.mxu_flops > 0 && !tile.dims.empty()) {
     const std::int64_t minor = tile.dims.back();
     const std::int64_t second =
         tile.dims.size() >= 2 ? tile.dims[tile.dims.size() - 2] : 1;
@@ -66,32 +100,28 @@ double AnalyticalModel::EstimateRuntime(const Graph& kernel,
     mxu_align = std::max(mxu_align, 0.05);
   }
   const double mxu_sec =
-      summary.mxu_flops * inv_iters /
+      totals.mxu_flops * inv_iters /
       (target_.PeakMatmulFlops() * kMxuUtilization * mxu_align);
   const double vec_sec =
-      (summary.vector_ops + summary.transcendental_ops) * inv_iters /
+      (totals.vector_ops + totals.transcendental_ops) * inv_iters /
       (target_.PeakVectorOps() * kVpuUtilization);
   const double compute_sec = std::max(mxu_sec, vec_sec);
 
   // Transfer estimate: weights are always streamed once per iteration when
   // they do not tile along the output; other inputs and outputs move
   // proportionally to the tile. Flat nominal bandwidth.
+  // The rounding of each step is spelled out rather than left to the
+  // compiler's FMA contraction, which varies with the surrounding loop
+  // shape: input terms are rounded products added to the sum, output terms
+  // are fused into it (what the optimized straight-line form of this
+  // estimate computed on FMA hardware).
   double bytes_per_tile = 0;
-  for (const Node& n : kernel.nodes()) {
-    if (n.op != OpCode::kParameter && n.op != OpCode::kConstant) continue;
-    bool weight_like = false;
-    for (const Node& user : kernel.nodes()) {
-      if ((user.op == OpCode::kDot || user.op == OpCode::kConvolution) &&
-          user.operands.size() >= 2 && user.operands[1] == n.id) {
-        weight_like = true;
-      }
-    }
-    const double bytes = static_cast<double>(n.shape.byte_size());
-    bytes_per_tile += weight_like ? bytes : bytes * inv_iters;
+  for (const KernelSummary::Input& input : summary.inputs) {
+    bytes_per_tile += input.weight_like ? input.bytes
+                                        : RoundedProduct(input.bytes, inv_iters);
   }
-  for (const NodeId id : kernel.OutputIds()) {
-    bytes_per_tile +=
-        static_cast<double>(kernel.node(id).shape.byte_size()) * inv_iters;
+  for (const double bytes : summary.output_bytes) {
+    bytes_per_tile = std::fma(bytes, inv_iters, bytes_per_tile);
   }
   const double efficiency =
       bytes_per_tile / (bytes_per_tile + kBandwidthRampBytes);
@@ -107,16 +137,17 @@ double AnalyticalModel::EstimateRuntime(const Graph& kernel,
 
 TileConfig AnalyticalModel::SelectBestTile(
     const Graph& kernel, std::span<const TileConfig> candidates) const {
-  TileConfig best;
+  const KernelSummary summary = Summarize(kernel);
+  const TileConfig* best = nullptr;
   double best_cost = std::numeric_limits<double>::infinity();
   for (const TileConfig& tile : candidates) {
-    const double cost = EstimateRuntime(kernel, tile);
+    const double cost = EstimateRuntime(summary, tile);
     if (cost < best_cost) {
       best_cost = cost;
-      best = tile;
+      best = &tile;
     }
   }
-  return best;
+  return best != nullptr ? *best : TileConfig{};
 }
 
 std::optional<double> AnalyticalModel::EstimateAbsoluteRuntime(

@@ -23,7 +23,9 @@
 #include <map>
 #include <optional>
 #include <span>
+#include <vector>
 
+#include "ir/analysis.h"
 #include "ir/graph.h"
 #include "ir/tile.h"
 #include "sim/target.h"
@@ -38,11 +40,32 @@ class AnalyticalModel {
   // Estimated runtime (seconds, model scale) of `kernel` under `tile`.
   // This is the quantity used to *rank tile sizes within a kernel* — its
   // scale is only meaningful relative to other tiles of the same kernel.
+  // Equal to EstimateRuntime(Summarize(kernel), tile).
   double EstimateRuntime(const ir::Graph& kernel,
                          const ir::TileConfig& tile) const;
 
+  // The tile-independent facts of a kernel that its runtime estimate reads.
+  // Summarizing once and costing each candidate tile from the summary gives
+  // bit-identical estimates without re-analyzing the graph per tile.
+  struct KernelSummary {
+    bool has_root = false;  // false for empty graphs (estimate 0)
+    ir::Shape root_shape;
+    ir::analysis::CostSummary totals;  // AnalyzeKernel(kernel)
+    // Parameter and constant inputs in node order: bytes, and whether the
+    // input feeds a dot/convolution as its weight (operand 1).
+    struct Input {
+      double bytes = 0;
+      bool weight_like = false;
+    };
+    std::vector<Input> inputs;
+    std::vector<double> output_bytes;  // per OutputIds() entry, in order
+  };
+  KernelSummary Summarize(const ir::Graph& kernel) const;
+  double EstimateRuntime(const KernelSummary& summary,
+                         const ir::TileConfig& tile) const;
+
   // Best tile according to the model among `candidates` — what the XLA
-  // compiler would pick by default (§2.3).
+  // compiler would pick by default (§2.3). Ties keep the first candidate.
   ir::TileConfig SelectBestTile(const ir::Graph& kernel,
                                 std::span<const ir::TileConfig> candidates) const;
 

@@ -31,7 +31,24 @@ std::vector<std::optional<double>> CostEvaluator::EstimateBatch(
 
 std::optional<double> HardwareEvaluator::EstimateKernel(
     const ir::Graph& kernel, const ir::TileConfig& tile) {
-  const std::uint64_t fp = kernel.Fingerprint();
+  return Measure(kernel, kernel.Fingerprint(), tile);
+}
+
+std::vector<std::optional<double>> HardwareEvaluator::EstimateBatch(
+    std::span<const KernelTileRef> items) {
+  std::vector<std::optional<double>> out;
+  out.reserve(items.size());
+  for (const KernelTileRef& item : items) {
+    const std::uint64_t fp = item.fingerprint.has_value()
+                                 ? *item.fingerprint
+                                 : item.kernel->Fingerprint();
+    out.push_back(Measure(*item.kernel, fp, *item.tile));
+  }
+  return out;
+}
+
+double HardwareEvaluator::Measure(const ir::Graph& kernel, std::uint64_t fp,
+                                  const ir::TileConfig& tile) {
   if (compiled_.emplace(fp, true).second) spent_ += costs_.compile_sec;
 
   const std::uint64_t key = KernelTileKey(fp, tile);
@@ -68,8 +85,9 @@ std::vector<std::optional<double>> LearnedEvaluator::EstimateBatch(
   // Resolve memo hits first; collect the misses for packed inference.
   // Duplicate (kernel, tile) queries within one call (fusion configs repeat
   // kernels) are collapsed to a single prediction and fanned back out.
-  // Each distinct kernel is fingerprinted once per call; the fingerprint
-  // keys both the memo and the PreparedCache lookup.
+  // Each distinct kernel without a given fingerprint is fingerprinted once
+  // per call; the fingerprint keys both the memo and the PreparedCache
+  // lookup.
   std::vector<size_t> pending;
   std::vector<std::uint64_t> fingerprints(items.size());
   std::vector<std::uint64_t> keys(items.size());
@@ -77,10 +95,14 @@ std::vector<std::optional<double>> LearnedEvaluator::EstimateBatch(
   std::unordered_map<const ir::Graph*, std::uint64_t> kernel_fingerprints;
   pending.reserve(items.size());
   for (size_t i = 0; i < items.size(); ++i) {
-    const auto [fp, first_seen] =
-        kernel_fingerprints.try_emplace(items[i].kernel, 0);
-    if (first_seen) fp->second = items[i].kernel->Fingerprint();
-    fingerprints[i] = fp->second;
+    if (items[i].fingerprint.has_value()) {
+      fingerprints[i] = *items[i].fingerprint;
+    } else {
+      const auto [fp, first_seen] =
+          kernel_fingerprints.try_emplace(items[i].kernel, 0);
+      if (first_seen) fp->second = items[i].kernel->Fingerprint();
+      fingerprints[i] = fp->second;
+    }
     keys[i] = KernelTileKey(fingerprints[i], *items[i].tile);
     const auto it = memo_.find(keys[i]);
     if (it != memo_.end()) {

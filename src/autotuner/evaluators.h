@@ -22,10 +22,18 @@
 
 namespace tpuperf::tune {
 
-// One (kernel, tile) query of a batched estimate.
+// One (kernel, tile) query of a batched estimate. Callers that already know
+// the kernel's Fingerprint() pass it along; evaluators compute it otherwise.
+// (A constructor rather than an aggregate, so `{kernel, tile}` stays
+// warning-free under -Wmissing-field-initializers.)
 struct KernelTileRef {
-  const ir::Graph* kernel = nullptr;
-  const ir::TileConfig* tile = nullptr;
+  KernelTileRef(const ir::Graph* kernel, const ir::TileConfig* tile,
+                std::optional<std::uint64_t> fingerprint = std::nullopt)
+      : kernel(kernel), tile(tile), fingerprint(fingerprint) {}
+
+  const ir::Graph* kernel;
+  const ir::TileConfig* tile;
+  std::optional<std::uint64_t> fingerprint;
 };
 
 // Abstract kernel-runtime estimator with an accumulated evaluation cost.
@@ -67,12 +75,18 @@ class HardwareEvaluator : public CostEvaluator {
 
   std::optional<double> EstimateKernel(const ir::Graph& kernel,
                                        const ir::TileConfig& tile) override;
+  // EstimateKernel per item, reusing the items' fingerprints.
+  std::vector<std::optional<double>> EstimateBatch(
+      std::span<const KernelTileRef> items) override;
   double SpentSeconds() const override { return spent_; }
   std::string_view name() const override { return "hardware"; }
 
   long measurements() const noexcept { return measurements_; }
 
  private:
+  double Measure(const ir::Graph& kernel, std::uint64_t fingerprint,
+                 const ir::TileConfig& tile);
+
   const sim::TpuSimulator& simulator_;
   Costs costs_;
   double spent_ = 0;
@@ -94,12 +108,13 @@ class LearnedEvaluator : public CostEvaluator {
   // through LearnedCostModel::PredictBatchSeconds — one large forward pass
   // instead of one per candidate, replaying a compiled plan from the
   // model's plan cache (shared by every evaluator of the model). Each
-  // distinct kernel is fingerprinted once per call, for both the memo key
-  // and the PreparedCache lookup. Sub-batches of kMaxBatch are scored
-  // concurrently on the global core::ThreadPool (this is how the tuners'
-  // candidate pools spread over the host's cores); results are exactly the
-  // 1-thread ones. Batched inference is charged a discounted per-query cost
-  // (large GEMMs amortize per-graph overhead).
+  // distinct kernel without a given fingerprint is fingerprinted once per
+  // call; the fingerprint keys both the memo and the PreparedCache lookup.
+  // Sub-batches of kMaxBatch are scored concurrently on the global
+  // core::ThreadPool (this is how the tuners' candidate pools spread over
+  // the host's cores); results are exactly the 1-thread ones. Batched
+  // inference is charged a discounted per-query cost (large GEMMs amortize
+  // per-graph overhead).
   std::vector<std::optional<double>> EstimateBatch(
       std::span<const KernelTileRef> items) override;
   double SpentSeconds() const override { return spent_; }

@@ -4,43 +4,20 @@
 #include <cmath>
 #include <limits>
 #include <map>
+#include <stdexcept>
 
 namespace tpuperf::tune {
 namespace {
 
-// Per-Tune cache of compiler tile choices, keyed by kernel fingerprint —
-// fusion configs of one program share most of their kernels.
-class TileChoiceCache {
- public:
-  TileChoiceCache(const sim::TpuSimulator& simulator,
-                  const analytical::AnalyticalModel& analytical)
-      : simulator_(simulator), analytical_(analytical) {}
+using KernelList = std::vector<const data::FusionKernelCache::Entry*>;
 
-  const ir::TileConfig& Get(const ir::Graph& kernel, std::uint64_t fp) {
-    const auto it = cache_.find(fp);
-    if (it != cache_.end()) return it->second;
-    return cache_
-        .emplace(fp, data::CompilerDefaultTile(kernel, simulator_, analytical_))
-        .first->second;
-  }
-
- private:
-  const sim::TpuSimulator& simulator_;
-  const analytical::AnalyticalModel& analytical_;
-  std::unordered_map<std::uint64_t, ir::TileConfig> cache_;
-};
-
-double SumConfigCost(const ir::Program& program, const data::EdgeList& edges,
-                     const data::FusionConfig& config, CostEvaluator& evaluator,
-                     TileChoiceCache& tiles) {
-  const auto kernels = data::ApplyFusion(program.graph, edges, config);
-  // All kernels of the candidate config are scored in one batched call
-  // (the learned evaluator packs them into a single forward pass).
+// Sum of the kernels' estimates, all scored in one batched call (the
+// learned evaluator packs them into a single forward pass).
+double SumConfigCost(const KernelList& kernels, CostEvaluator& evaluator) {
   std::vector<KernelTileRef> refs;
   refs.reserve(kernels.size());
-  for (const ir::Kernel& kernel : kernels) {
-    const std::uint64_t fp = kernel.graph.Fingerprint();
-    refs.push_back({&kernel.graph, &tiles.Get(kernel.graph, fp)});
+  for (const data::FusionKernelCache::Entry* k : kernels) {
+    refs.push_back({&k->kernel.graph, &k->tile, k->fingerprint});
   }
   const auto costs = evaluator.EstimateBatch(refs);
   double total = 0;
@@ -53,39 +30,54 @@ double SumConfigCost(const ir::Program& program, const data::EdgeList& edges,
   return total;
 }
 
+// True runtime of the kernels, measured on the simulator (no budget).
+double TrueRuntime(const KernelList& kernels,
+                   const sim::TpuSimulator& simulator) {
+  double total = 0;
+  for (const data::FusionKernelCache::Entry* k : kernels) {
+    total += simulator.Measure(k->kernel.graph, k->tile);
+  }
+  return total;
+}
+
+// The kernels of a valid config, through the Tune's kernel cache.
+KernelList KernelsOf(data::FusionKernelCache& cache, const ir::Program& program,
+                     const data::EdgeList& edges,
+                     const data::FusionConfig& config) {
+  const auto partition = data::DerivePartition(program.graph, edges, config);
+  if (!partition.has_value()) {
+    throw std::invalid_argument("FusionAutotuner: invalid fusion configuration");
+  }
+  return cache.Kernels(*partition);
+}
+
 }  // namespace
 
 double FusionAutotuner::ConfigCost(const ir::Program& program,
                                    const data::EdgeList& edges,
                                    const data::FusionConfig& config,
                                    CostEvaluator& evaluator) const {
-  TileChoiceCache tiles(simulator_, analytical_);
-  return SumConfigCost(program, edges, config, evaluator, tiles);
+  data::FusionKernelCache kernels(program.graph, simulator_, analytical_);
+  return SumConfigCost(KernelsOf(kernels, program, edges, config),
+                       evaluator);
 }
 
-double FusionAutotuner::TrueRuntime(const ir::Program& program,
-                                    const data::EdgeList& edges,
-                                    const data::FusionConfig& config) const {
-  TileChoiceCache tiles(simulator_, analytical_);
-  const auto kernels = data::ApplyFusion(program.graph, edges, config);
-  double total = 0;
-  for (const ir::Kernel& kernel : kernels) {
-    const std::uint64_t fp = kernel.graph.Fingerprint();
-    total += simulator_.Measure(kernel.graph, tiles.Get(kernel.graph, fp));
-  }
-  return total;
-}
-
+// Each annealing step costs what the flip changed: FlipOneEdge hands back
+// the partition it validated, the kernel cache maps its groups to kernels
+// (extracting, fingerprinting and tiling only groups not seen before), and
+// the evaluator scores the step's kernels in one batched call.
 FusionTuneResult FusionAutotuner::TuneWithHardware(
     const ir::Program& program, const FusionTuneOptions& options) const {
   FusionTuneResult result;
   result.program = program.name;
   std::mt19937_64 rng(options.seed);
+  data::FusionKernelCache kernels(program.graph, simulator_, analytical_);
 
   const data::EdgeList edges = data::EdgeList::FromGraph(program.graph);
   const data::FusionConfig default_config =
       data::DefaultFusion(program.graph, edges);
-  result.default_runtime_sec = TrueRuntime(program, edges, default_config);
+  result.default_runtime_sec = TrueRuntime(
+      KernelsOf(kernels, program, edges, default_config), simulator_);
 
   data::FusionConfig current =
       options.start_from_default
@@ -93,23 +85,24 @@ FusionTuneResult FusionAutotuner::TuneWithHardware(
           : data::RandomFusion(program.graph, edges, rng, 0.5);
 
   HardwareEvaluator hardware(simulator_);
-  TileChoiceCache tiles(simulator_, analytical_);
-  double current_cost =
-      SumConfigCost(program, edges, current, hardware, tiles);
+  double current_cost = SumConfigCost(
+      KernelsOf(kernels, program, edges, current), hardware);
   data::FusionConfig best = current;
   double best_cost = current_cost;
   result.configs_explored = 1;
 
   double temperature = options.initial_temperature;
   std::uniform_real_distribution<double> unit(0.0, 1.0);
+  std::vector<int> partition;
   for (int step = 0; step < options.max_steps &&
                      hardware.SpentSeconds() < options.hardware_budget_sec;
        ++step) {
-    const auto next = data::FlipOneEdge(program.graph, edges, current, rng);
+    const auto next =
+        data::FlipOneEdge(program.graph, edges, current, rng, {}, &partition);
     temperature *= options.cooling;
     if (!next.has_value()) continue;
     const double next_cost =
-        SumConfigCost(program, edges, *next, hardware, tiles);
+        SumConfigCost(kernels.Kernels(partition), hardware);
     ++result.configs_explored;
     const double relative = (next_cost - current_cost) /
                             std::max(current_cost, 1e-12);
@@ -124,7 +117,8 @@ FusionTuneResult FusionAutotuner::TuneWithHardware(
     }
   }
   result.hardware_seconds = hardware.SpentSeconds();
-  result.best_runtime_sec = TrueRuntime(program, edges, best);
+  result.best_runtime_sec = TrueRuntime(
+      KernelsOf(kernels, program, edges, best), simulator_);
   if (options.start_from_default) {
     // The compiler falls back to its default when search finds nothing
     // better; from a random start the search result stands on its own
@@ -141,11 +135,13 @@ FusionTuneResult FusionAutotuner::TuneWithModel(
   FusionTuneResult result;
   result.program = program.name;
   std::mt19937_64 rng(options.seed);
+  data::FusionKernelCache kernels(program.graph, simulator_, analytical_);
 
   const data::EdgeList edges = data::EdgeList::FromGraph(program.graph);
   const data::FusionConfig default_config =
       data::DefaultFusion(program.graph, edges);
-  result.default_runtime_sec = TrueRuntime(program, edges, default_config);
+  result.default_runtime_sec = TrueRuntime(
+      KernelsOf(kernels, program, edges, default_config), simulator_);
 
   data::FusionConfig current =
       options.start_from_default
@@ -153,9 +149,9 @@ FusionTuneResult FusionAutotuner::TuneWithModel(
           : data::RandomFusion(program.graph, edges, rng, 0.5);
 
   // ---- Phase 1: anneal on the cost model (CPU) ----------------------------
-  TileChoiceCache tiles(simulator_, analytical_);
   const double model_start = model.SpentSeconds();
-  double current_cost = SumConfigCost(program, edges, current, model, tiles);
+  double current_cost = SumConfigCost(
+      KernelsOf(kernels, program, edges, current), model);
   // Best-first pool of distinct candidates, keyed by predicted cost.
   std::multimap<double, data::FusionConfig> pool;
   std::unordered_map<std::uint64_t, bool> pooled;
@@ -170,14 +166,16 @@ FusionTuneResult FusionAutotuner::TuneWithModel(
 
   double temperature = options.initial_temperature;
   std::uniform_real_distribution<double> unit(0.0, 1.0);
+  std::vector<int> partition;
   for (int step = 0;
        step < options.max_steps &&
        model.SpentSeconds() - model_start < options.model_budget_sec;
        ++step) {
-    const auto next = data::FlipOneEdge(program.graph, edges, current, rng);
+    const auto next =
+        data::FlipOneEdge(program.graph, edges, current, rng, {}, &partition);
     temperature *= options.cooling;
     if (!next.has_value()) continue;
-    const double next_cost = SumConfigCost(program, edges, *next, model, tiles);
+    const double next_cost = SumConfigCost(kernels.Kernels(partition), model);
     ++result.configs_explored;
     offer(next_cost, *next);
     const double relative = (next_cost - current_cost) /
@@ -194,9 +192,8 @@ FusionTuneResult FusionAutotuner::TuneWithModel(
   double best_true = std::numeric_limits<double>::infinity();
   for (const auto& [predicted, config] : pool) {
     if (hardware.SpentSeconds() >= options.hardware_budget_sec) break;
-    TileChoiceCache vtiles(simulator_, analytical_);
-    const double true_cost =
-        SumConfigCost(program, edges, config, hardware, vtiles);
+    const double true_cost = SumConfigCost(
+        KernelsOf(kernels, program, edges, config), hardware);
     best_true = std::min(best_true, true_cost);
   }
   if (options.start_from_default || !std::isfinite(best_true)) {

@@ -70,18 +70,17 @@ class FusionAutotuner {
                                  CostEvaluator& model,
                                  const FusionTuneOptions& options) const;
 
- private:
-  // Total program cost under a fusion config according to `evaluator`
-  // (kernels the evaluator cannot score fall back to the analytical
-  // tile-scale estimate). Also returns the kernels for reuse.
+  // Total program cost of a valid fusion config according to `evaluator`:
+  // the sum of its kernels' estimates under their compiler-default tiles, in
+  // one batched call. Kernels the evaluator cannot score contribute nothing.
+  // The tuners cost every config this way, through one
+  // data::FusionKernelCache per Tune call shared by every phase (annealing,
+  // hardware validation, true runtimes); this entry point uses a fresh one.
   double ConfigCost(const ir::Program& program, const data::EdgeList& edges,
                     const data::FusionConfig& config,
                     CostEvaluator& evaluator) const;
 
-  // True runtime of a config, measured on the simulator (no budget).
-  double TrueRuntime(const ir::Program& program, const data::EdgeList& edges,
-                     const data::FusionConfig& config) const;
-
+ private:
   const sim::TpuSimulator& simulator_;
   const analytical::AnalyticalModel& analytical_;
 };

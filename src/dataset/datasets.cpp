@@ -128,15 +128,6 @@ std::vector<int> FusionDataset::SamplesOfPrograms(
   return out;
 }
 
-ir::TileConfig CompilerDefaultTile(const ir::Graph& kernel,
-                                   const sim::TpuSimulator& simulator,
-                                   const analytical::AnalyticalModel& analytical,
-                                   int max_enumerated_tiles) {
-  const auto candidates = simulator.EnumerateTiles(kernel, max_enumerated_tiles);
-  if (candidates.empty()) return simulator.DefaultTile(kernel);
-  return analytical.SelectBestTile(kernel, candidates);
-}
-
 TileDataset BuildTileDataset(std::span<const ir::Program> corpus,
                              const sim::TpuSimulator& simulator,
                              const DatasetOptions& options) {

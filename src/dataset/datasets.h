@@ -119,11 +119,4 @@ FusionDataset BuildFusionDataset(std::span<const ir::Program> corpus,
                                  const analytical::AnalyticalModel& analytical,
                                  const DatasetOptions& options);
 
-// The compiler-chosen tile for a kernel: analytical-model best among the
-// enumerated candidates (what XLA does by default, §2.3).
-ir::TileConfig CompilerDefaultTile(const ir::Graph& kernel,
-                                   const sim::TpuSimulator& simulator,
-                                   const analytical::AnalyticalModel& analytical,
-                                   int max_enumerated_tiles = 256);
-
 }  // namespace tpuperf::data

@@ -3,10 +3,11 @@
 #include <algorithm>
 #include <map>
 #include <numeric>
-#include <queue>
 #include <stdexcept>
 
+#include "analytical/analytical_model.h"
 #include "sim/hash.h"
+#include "sim/simulator.h"
 
 namespace tpuperf::data {
 namespace {
@@ -81,15 +82,15 @@ std::optional<std::vector<int>> DerivePartition(const Graph& graph,
     }
   }
 
-  // Compact group ids.
-  std::vector<int> group_of(static_cast<size_t>(n), -1);
-  std::map<int, int> remap;
+  // Compact group ids, numbered in order of each group's first node.
+  std::vector<int> group_of(static_cast<size_t>(n));
+  std::vector<int> group_of_root(static_cast<size_t>(n), -1);
+  int num_groups = 0;
   for (int i = 0; i < n; ++i) {
-    const int root = uf.Find(i);
-    auto [it, inserted] = remap.try_emplace(root, static_cast<int>(remap.size()));
-    group_of[static_cast<size_t>(i)] = it->second;
+    int& g = group_of_root[static_cast<size_t>(uf.Find(i))];
+    if (g < 0) g = num_groups++;
+    group_of[static_cast<size_t>(i)] = g;
   }
-  const int num_groups = static_cast<int>(remap.size());
 
   // Group size bound (computation nodes only).
   std::vector<int> group_size(static_cast<size_t>(num_groups), 0);
@@ -102,130 +103,167 @@ std::optional<std::vector<int>> DerivePartition(const Graph& graph,
     }
   }
 
-  // Acyclicity of the condensed group graph (Kahn's algorithm).
-  std::vector<std::vector<int>> succ(static_cast<size_t>(num_groups));
+  // Acyclicity of the condensed group graph (Kahn's algorithm) over flat
+  // successor arrays: group g's successors are succ[succ_begin[g] ..
+  // succ_begin[g + 1]).
+  std::vector<int> succ_begin(static_cast<size_t>(num_groups) + 1, 0);
   std::vector<int> indegree(static_cast<size_t>(num_groups), 0);
   for (const Node& node : graph.nodes()) {
     const int g_to = group_of[static_cast<size_t>(node.id)];
     for (const NodeId operand : node.operands) {
       const int g_from = group_of[static_cast<size_t>(operand)];
       if (g_from == g_to) continue;
-      succ[static_cast<size_t>(g_from)].push_back(g_to);
+      ++succ_begin[static_cast<size_t>(g_from) + 1];
       ++indegree[static_cast<size_t>(g_to)];
     }
   }
-  std::queue<int> ready;
-  for (int g = 0; g < num_groups; ++g) {
-    if (indegree[static_cast<size_t>(g)] == 0) ready.push(g);
-  }
-  int visited = 0;
-  while (!ready.empty()) {
-    const int g = ready.front();
-    ready.pop();
-    ++visited;
-    for (const int s : succ[static_cast<size_t>(g)]) {
-      if (--indegree[static_cast<size_t>(s)] == 0) ready.push(s);
+  std::partial_sum(succ_begin.begin(), succ_begin.end(), succ_begin.begin());
+  std::vector<int> succ(static_cast<size_t>(succ_begin.back()));
+  {
+    std::vector<int> fill(succ_begin.begin(), succ_begin.end() - 1);
+    for (const Node& node : graph.nodes()) {
+      const int g_to = group_of[static_cast<size_t>(node.id)];
+      for (const NodeId operand : node.operands) {
+        const int g_from = group_of[static_cast<size_t>(operand)];
+        if (g_from == g_to) continue;
+        succ[static_cast<size_t>(fill[static_cast<size_t>(g_from)]++)] = g_to;
+      }
     }
   }
-  if (visited != num_groups) return std::nullopt;  // cycle
+  // Every group enters the worklist once, so it never outgrows num_groups.
+  std::vector<int> ready;
+  ready.reserve(static_cast<size_t>(num_groups));
+  for (int g = 0; g < num_groups; ++g) {
+    if (indegree[static_cast<size_t>(g)] == 0) ready.push_back(g);
+  }
+  for (size_t head = 0; head < ready.size(); ++head) {
+    const int g = ready[head];
+    for (int s = succ_begin[static_cast<size_t>(g)];
+         s < succ_begin[static_cast<size_t>(g) + 1]; ++s) {
+      const int to = succ[static_cast<size_t>(s)];
+      if (--indegree[static_cast<size_t>(to)] == 0) ready.push_back(to);
+    }
+  }
+  if (static_cast<int>(ready.size()) != num_groups) return std::nullopt;
   return group_of;
 }
 
-std::vector<ir::Kernel> ExtractKernels(const Graph& graph,
-                                       const std::vector<int>& group_of) {
+PartitionGroups GroupPartition(const Graph& graph,
+                               const std::vector<int>& group_of) {
+  PartitionGroups groups;
   const int num_groups =
       group_of.empty() ? 0
                        : 1 + *std::max_element(group_of.begin(), group_of.end());
 
+  // Members by counting sort: a stable pass in id order keeps each group's
+  // members in id (= topological) order.
+  groups.offsets.assign(static_cast<size_t>(num_groups) + 1, 0);
+  for (const int g : group_of) ++groups.offsets[static_cast<size_t>(g) + 1];
+  std::partial_sum(groups.offsets.begin(), groups.offsets.end(),
+                   groups.offsets.begin());
+  groups.members.resize(group_of.size());
+  std::vector<int> fill(groups.offsets.begin(), groups.offsets.end() - 1);
+  for (size_t id = 0; id < group_of.size(); ++id) {
+    const auto g = static_cast<size_t>(group_of[id]);
+    groups.members[static_cast<size_t>(fill[g]++)] = static_cast<NodeId>(id);
+  }
+
   // Which nodes' values cross group boundaries or leave the program?
-  std::vector<bool> crosses(static_cast<size_t>(graph.num_nodes()), false);
-  {
-    std::vector<bool> has_user(static_cast<size_t>(graph.num_nodes()), false);
-    for (const Node& node : graph.nodes()) {
-      for (const NodeId operand : node.operands) {
-        has_user[static_cast<size_t>(operand)] = true;
-        if (group_of[static_cast<size_t>(operand)] !=
-            group_of[static_cast<size_t>(node.id)]) {
-          crosses[static_cast<size_t>(operand)] = true;
-        }
-      }
-    }
-    for (const Node& node : graph.nodes()) {
-      if (!has_user[static_cast<size_t>(node.id)] || node.is_output) {
-        crosses[static_cast<size_t>(node.id)] = true;  // program output
+  groups.crosses.assign(static_cast<size_t>(graph.num_nodes()), false);
+  std::vector<bool> has_user(static_cast<size_t>(graph.num_nodes()), false);
+  for (const Node& node : graph.nodes()) {
+    for (const NodeId operand : node.operands) {
+      has_user[static_cast<size_t>(operand)] = true;
+      if (group_of[static_cast<size_t>(operand)] !=
+          group_of[static_cast<size_t>(node.id)]) {
+        groups.crosses[static_cast<size_t>(operand)] = true;
       }
     }
   }
-
-  std::vector<ir::Kernel> kernels;
-  for (int g = 0; g < num_groups; ++g) {
-    // Nodes of this group in id (= topological) order.
-    std::vector<NodeId> members;
-    bool any_compute = false;
-    for (const Node& node : graph.nodes()) {
-      if (group_of[static_cast<size_t>(node.id)] != g) continue;
-      members.push_back(node.id);
-      if (!IsInlinedInput(node.op)) any_compute = true;
+  for (const Node& node : graph.nodes()) {
+    if (!has_user[static_cast<size_t>(node.id)] || node.is_output) {
+      groups.crosses[static_cast<size_t>(node.id)] = true;  // program output
     }
-    if (!any_compute) continue;  // inlined-inputs-only group: no kernel
+  }
+  return groups;
+}
 
-    Graph kgraph;
-    std::map<NodeId, NodeId> local_id;  // program node -> kernel node
+std::optional<ir::Kernel> ExtractGroupKernel(const Graph& graph,
+                                             const std::vector<int>& group_of,
+                                             const PartitionGroups& groups,
+                                             int g) {
+  const std::span<const NodeId> members = groups.group(g);
+  if (std::all_of(members.begin(), members.end(), [&](NodeId id) {
+        return IsInlinedInput(graph.node(id).op);
+      })) {
+    return std::nullopt;  // inlined-inputs-only group: no kernel
+  }
 
-    // Maps a producer value from outside the group into this kernel as a
-    // parameter node.
-    const auto import_value = [&](NodeId program_id) -> NodeId {
-      const auto it = local_id.find(program_id);
-      if (it != local_id.end()) return it->second;
-      Node param;
-      param.op = OpCode::kParameter;
-      param.shape = graph.node(program_id).shape;
-      const NodeId local = kgraph.AddNode(std::move(param));
-      local_id.emplace(program_id, local);
-      return local;
-    };
+  Graph kgraph;
+  std::map<NodeId, NodeId> local_id;  // program node -> kernel node
 
-    for (const NodeId id : members) {
-      const Node& node = graph.node(id);
-      if (IsInlinedInput(node.op)) {
-        // Materialized lazily by import_value when used.
-        continue;
-      }
-      Node copy = node;
-      copy.operands.clear();
-      for (const NodeId operand : node.operands) {
-        const Node& producer = graph.node(operand);
-        if (group_of[static_cast<size_t>(operand)] == g &&
-            !IsInlinedInput(producer.op)) {
-          copy.operands.push_back(local_id.at(operand));
-        } else if (IsInlinedInput(producer.op)) {
-          // Inlined inputs keep their original opcode so the featurizer
-          // sees parameter vs constant distinctions.
-          const auto it = local_id.find(operand);
-          if (it != local_id.end()) {
-            copy.operands.push_back(it->second);
-          } else {
-            Node inlined;
-            inlined.op = producer.op == OpCode::kIota ? OpCode::kIota
-                                                      : producer.op;
-            inlined.shape = producer.shape;
-            const NodeId local = kgraph.AddNode(std::move(inlined));
-            local_id.emplace(operand, local);
-            copy.operands.push_back(local);
-          }
+  // Maps a producer value from outside the group into this kernel as a
+  // parameter node.
+  const auto import_value = [&](NodeId program_id) -> NodeId {
+    const auto it = local_id.find(program_id);
+    if (it != local_id.end()) return it->second;
+    Node param;
+    param.op = OpCode::kParameter;
+    param.shape = graph.node(program_id).shape;
+    const NodeId local = kgraph.AddNode(std::move(param));
+    local_id.emplace(program_id, local);
+    return local;
+  };
+
+  for (const NodeId id : members) {
+    const Node& node = graph.node(id);
+    if (IsInlinedInput(node.op)) {
+      // Materialized lazily by import_value when used.
+      continue;
+    }
+    Node copy = node;
+    copy.operands.clear();
+    for (const NodeId operand : node.operands) {
+      const Node& producer = graph.node(operand);
+      if (group_of[static_cast<size_t>(operand)] == g &&
+          !IsInlinedInput(producer.op)) {
+        copy.operands.push_back(local_id.at(operand));
+      } else if (IsInlinedInput(producer.op)) {
+        // Inlined inputs keep their original opcode so the featurizer
+        // sees parameter vs constant distinctions.
+        const auto it = local_id.find(operand);
+        if (it != local_id.end()) {
+          copy.operands.push_back(it->second);
         } else {
-          copy.operands.push_back(import_value(operand));
+          Node inlined;
+          inlined.op = producer.op;
+          inlined.shape = producer.shape;
+          const NodeId local = kgraph.AddNode(std::move(inlined));
+          local_id.emplace(operand, local);
+          copy.operands.push_back(local);
         }
+      } else {
+        copy.operands.push_back(import_value(operand));
       }
-      copy.is_output = crosses[static_cast<size_t>(id)];
-      const NodeId local = kgraph.AddNode(std::move(copy));
-      local_id.emplace(id, local);
     }
+    copy.is_output = groups.crosses[static_cast<size_t>(id)];
+    const NodeId local = kgraph.AddNode(std::move(copy));
+    local_id.emplace(id, local);
+  }
 
-    ir::Kernel kernel;
-    kernel.kind = ir::Kernel::Classify(kgraph);
-    kernel.graph = std::move(kgraph);
-    kernels.push_back(std::move(kernel));
+  ir::Kernel kernel;
+  kernel.kind = ir::Kernel::Classify(kgraph);
+  kernel.graph = std::move(kgraph);
+  return kernel;
+}
+
+std::vector<ir::Kernel> ExtractKernels(const Graph& graph,
+                                       const std::vector<int>& group_of) {
+  const PartitionGroups groups = GroupPartition(graph, group_of);
+  std::vector<ir::Kernel> kernels;
+  for (int g = 0; g < groups.num_groups(); ++g) {
+    auto kernel = ExtractGroupKernel(graph, group_of, groups, g);
+    if (kernel.has_value()) kernels.push_back(std::move(*kernel));
   }
   return kernels;
 }
@@ -305,16 +343,60 @@ std::optional<FusionConfig> FlipOneEdge(const Graph& graph,
                                         const EdgeList& edges,
                                         const FusionConfig& config,
                                         std::mt19937_64& rng,
-                                        const FusionLimits& limits) {
+                                        const FusionLimits& limits,
+                                        std::vector<int>* partition) {
   if (edges.edges.empty()) return std::nullopt;
   FusionConfig next = config;
   std::uniform_int_distribution<size_t> pick(0, edges.edges.size() - 1);
   const size_t e = pick(rng);
   next.fuse_edge[e] = !next.fuse_edge[e];
-  if (!DerivePartition(graph, edges, next, limits).has_value()) {
-    return std::nullopt;
-  }
+  auto derived = DerivePartition(graph, edges, next, limits);
+  if (!derived.has_value()) return std::nullopt;
+  if (partition != nullptr) *partition = std::move(*derived);
   return next;
+}
+
+ir::TileConfig CompilerDefaultTile(const Graph& kernel,
+                                   const sim::TpuSimulator& simulator,
+                                   const analytical::AnalyticalModel& analytical,
+                                   int max_enumerated_tiles) {
+  const auto candidates = simulator.EnumerateTiles(kernel, max_enumerated_tiles);
+  if (candidates.empty()) return simulator.DefaultTile(kernel);
+  return analytical.SelectBestTile(kernel, candidates);
+}
+
+std::size_t FusionKernelCache::KeyHash::operator()(
+    const std::vector<ir::NodeId>& key) const noexcept {
+  std::uint64_t h = key.size();
+  for (const ir::NodeId v : key) {
+    h = sim::HashCombine(h, static_cast<std::uint64_t>(v));
+  }
+  return static_cast<std::size_t>(h);
+}
+
+std::vector<const FusionKernelCache::Entry*> FusionKernelCache::Kernels(
+    const std::vector<int>& group_of) {
+  const PartitionGroups groups = GroupPartition(graph_, group_of);
+  std::vector<const Entry*> kernels;
+  kernels.reserve(static_cast<size_t>(groups.num_groups()));
+  for (int g = 0; g < groups.num_groups(); ++g) {
+    const std::span<const NodeId> members = groups.group(g);
+    key_.assign(members.begin(), members.end());
+    auto it = entries_.find(key_);
+    if (it == entries_.end()) {
+      std::optional<Entry> entry;
+      if (auto kernel = ExtractGroupKernel(graph_, group_of, groups, g)) {
+        entry.emplace();
+        entry->kernel = std::move(*kernel);
+        entry->fingerprint = entry->kernel.graph.Fingerprint();
+        entry->tile = CompilerDefaultTile(entry->kernel.graph, simulator_,
+                                          analytical_);
+      }
+      it = entries_.emplace(key_, std::move(entry)).first;
+    }
+    if (it->second.has_value()) kernels.push_back(&*it->second);
+  }
+  return kernels;
 }
 
 }  // namespace tpuperf::data

@@ -4,8 +4,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <limits>
+#include <set>
+#include <utility>
 
 #include "analytical/analytical_model.h"
+#include "dataset/families.h"
+#include "dataset/fusion.h"
 #include "ir/builder.h"
 #include "sim/simulator.h"
 
@@ -119,6 +125,53 @@ TEST(Analytical, AgreesWithSimulatorToFirstOrder) {
   const double true_rt = simulator.Simulate(kernel, tile).runtime_sec;
   EXPECT_GT(est / true_rt, 0.3);
   EXPECT_LT(est / true_rt, 3.0);
+}
+
+std::uint64_t Bits(double v) {
+  std::uint64_t bits;
+  std::memcpy(&bits, &v, sizeof bits);
+  return bits;
+}
+
+// SelectBestTile summarizes a kernel once and costs every candidate from the
+// summary. Over every distinct default-fusion kernel of the corpus and every
+// enumerated tile, the hoisted cost must equal EstimateRuntime(kernel, tile)
+// bit for bit, and the chosen tile must be the first argmin.
+TEST(Analytical, HoistedTileCostIsBitExact) {
+  const AnalyticalModel model(sim::TpuTarget::V2());
+  const sim::TpuSimulator simulator(sim::TpuTarget::V2());
+  std::set<std::pair<std::uint64_t, std::uint64_t>> seen;
+  long checked = 0;
+  for (const ir::Program& program : data::GenerateCorpus()) {
+    const data::EdgeList edges = data::EdgeList::FromGraph(program.graph);
+    const auto kernels = data::ApplyFusion(
+        program.graph, edges, data::DefaultFusion(program.graph, edges));
+    for (const ir::Kernel& kernel : kernels) {
+      const ir::Graph& graph = kernel.graph;
+      if (!seen.emplace(graph.Fingerprint(), graph.StructuralSignature())
+               .second) {
+        continue;
+      }
+      const auto tiles = simulator.EnumerateTiles(graph, 256);
+      if (tiles.empty()) continue;
+      const AnalyticalModel::KernelSummary summary = model.Summarize(graph);
+      size_t first_argmin = 0;
+      double best = std::numeric_limits<double>::infinity();
+      for (size_t t = 0; t < tiles.size(); ++t) {
+        const double direct = model.EstimateRuntime(graph, tiles[t]);
+        ASSERT_EQ(Bits(model.EstimateRuntime(summary, tiles[t])), Bits(direct))
+            << program.name << " tile " << tiles[t].ToString();
+        if (direct < best) {
+          best = direct;
+          first_argmin = t;
+        }
+        ++checked;
+      }
+      EXPECT_EQ(model.SelectBestTile(graph, tiles), tiles[first_argmin])
+          << program.name;
+    }
+  }
+  EXPECT_GT(checked, 1000);
 }
 
 }  // namespace

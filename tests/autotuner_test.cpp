@@ -1,10 +1,16 @@
 // Tests for the autotuner: evaluator cost accounting and caching, tile-size
 // tuning invariants (exhaustive dominates, oracle top-k equals exhaustive),
-// and fusion annealing budgets/determinism.
+// fusion annealing budgets/determinism, and config costing through the
+// per-Tune kernel cache.
 #include <gtest/gtest.h>
+
+#include <cstring>
+#include <functional>
+#include <memory>
 
 #include "autotuner/fusion_tuner.h"
 #include "autotuner/tile_tuner.h"
+#include "core/trainer.h"
 #include "dataset/families.h"
 #include "ir/builder.h"
 
@@ -150,6 +156,90 @@ TEST_F(AutotunerTest, RandomStartIsNotClampedToDefault) {
   const auto result = tuner.TuneWithHardware(*program_, options);
   // Speedup may legitimately be < 1 from a random start.
   EXPECT_GT(result.best_runtime_sec, 0.0);
+}
+
+std::uint64_t Bits(double v) {
+  std::uint64_t bits;
+  std::memcpy(&bits, &v, sizeof bits);
+  return bits;
+}
+
+// The straightforward cost of a config: apply the fusion, give every kernel
+// its compiler-default tile, and sum one batched estimate (two-field refs,
+// so the evaluator fingerprints the kernels itself).
+double ReferenceConfigCost(const ir::Program& program,
+                           const data::EdgeList& edges,
+                           const data::FusionConfig& config,
+                           const sim::TpuSimulator& simulator,
+                           const analytical::AnalyticalModel& analytical,
+                           CostEvaluator& evaluator) {
+  const auto kernels = data::ApplyFusion(program.graph, edges, config);
+  std::vector<ir::TileConfig> tiles;
+  for (const ir::Kernel& kernel : kernels) {
+    tiles.push_back(data::CompilerDefaultTile(kernel.graph, simulator, analytical));
+  }
+  std::vector<KernelTileRef> refs;
+  for (size_t i = 0; i < kernels.size(); ++i) {
+    refs.push_back({&kernels[i].graph, &tiles[i]});
+  }
+  double total = 0;
+  for (const auto& cost : evaluator.EstimateBatch(refs)) {
+    if (cost.has_value()) total += *cost;
+  }
+  return total;
+}
+
+TEST_F(AutotunerTest, ConfigCostMatchesApplyFusionReference) {
+  core::ModelConfig config = core::ModelConfig::FusionTaskDefault();
+  config.hidden_dim = 16;
+  config.opcode_embedding_dim = 8;
+  config.gnn_layers = 2;
+  core::LearnedCostModel model(config);
+  for (const ir::Program* program : {program_, conv_program_}) {
+    const data::EdgeList edges = data::EdgeList::FromGraph(program->graph);
+    for (const ir::Kernel& kernel : data::ApplyFusion(
+             program->graph, edges,
+             data::DefaultFusion(program->graph, edges))) {
+      model.FitNodeScaler(kernel.graph);
+      model.FitTileScaler(
+          data::CompilerDefaultTile(kernel.graph, *simulator_, *analytical_));
+    }
+  }
+  model.FinishFitting();
+
+  using MakeEvaluator = std::function<std::unique_ptr<CostEvaluator>()>;
+  std::vector<std::unique_ptr<core::PreparedCache>> caches;
+  const std::vector<std::pair<const char*, MakeEvaluator>> evaluators = {
+      {"learned",
+       [&] {
+         caches.push_back(std::make_unique<core::PreparedCache>(model));
+         return std::make_unique<LearnedEvaluator>(model, *caches.back());
+       }},
+      {"hardware",
+       [&] { return std::make_unique<HardwareEvaluator>(*simulator_); }}};
+
+  FusionAutotuner tuner(*simulator_, *analytical_);
+  for (const ir::Program* program : {program_, conv_program_}) {
+    const data::EdgeList edges = data::EdgeList::FromGraph(program->graph);
+    std::mt19937_64 rng(41);
+    std::uniform_real_distribution<double> fuse_prob(0.1, 0.9);
+    for (int c = 0; c < 50; ++c) {
+      const data::FusionConfig fusion =
+          data::RandomFusion(program->graph, edges, rng, fuse_prob(rng));
+      for (const auto& [name, make] : evaluators) {
+        const auto tuned = make();
+        const auto reference = make();
+        const double cost = tuner.ConfigCost(*program, edges, fusion, *tuned);
+        EXPECT_EQ(Bits(cost),
+                  Bits(ReferenceConfigCost(*program, edges, fusion,
+                                           *simulator_, *analytical_,
+                                           *reference)))
+            << program->name << " config " << c << " " << name;
+        EXPECT_EQ(tuned->SpentSeconds(), reference->SpentSeconds());
+        EXPECT_GT(cost, 0.0);
+      }
+    }
+  }
 }
 
 }  // namespace

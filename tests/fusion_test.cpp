@@ -1,13 +1,17 @@
 // Tests for the fusion machinery: edge lists, partition validity (cycle
 // detection, group size bounds), kernel extraction semantics, the default
-// heuristic, and random-configuration sampling (parameterized over seeds).
+// heuristic, random-configuration sampling (parameterized over seeds), and
+// the per-group kernel cache the fusion autotuner anneals through.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 
+#include "analytical/analytical_model.h"
 #include "dataset/families.h"
 #include "dataset/fusion.h"
 #include "ir/builder.h"
+#include "sim/simulator.h"
 
 namespace tpuperf::data {
 namespace {
@@ -249,6 +253,108 @@ TEST(FlipOneEdge, ProducesValidNeighborsOrNothing) {
     ++moved;
   }
   EXPECT_GT(moved, 25);
+}
+
+TEST(FlipOneEdge, HandsBackTheDerivedPartition) {
+  const ir::Program program = BuildProgram("RNNLM", 0);
+  const EdgeList edges = EdgeList::FromGraph(program.graph);
+  FusionConfig config = DefaultFusion(program.graph, edges);
+  std::mt19937_64 rng(5);
+  std::mt19937_64 rng_plain(5);
+  for (int i = 0; i < 50; ++i) {
+    std::vector<int> partition;
+    const auto next =
+        FlipOneEdge(program.graph, edges, config, rng, {}, &partition);
+    // Asking for the partition draws nothing extra from the RNG.
+    const auto plain = FlipOneEdge(program.graph, edges, config, rng_plain);
+    ASSERT_EQ(next.has_value(), plain.has_value());
+    if (!next.has_value()) continue;
+    EXPECT_EQ(next->fuse_edge, plain->fuse_edge);
+    EXPECT_EQ(partition, *DerivePartition(program.graph, edges, *next));
+    config = *next;
+  }
+}
+
+// A random FlipOneEdge walk, accepting every valid move: at each step the
+// cache must hand back exactly ApplyFusion's kernels, in the same order.
+TEST(FusionKernelCache, MatchesApplyFusionAlongAnnealingWalk) {
+  const sim::TpuSimulator simulator(sim::TpuTarget::V2());
+  const analytical::AnalyticalModel analytical(sim::TpuTarget::V2());
+  for (const char* family : {"TransformerLM", "ResNetV1"}) {
+    SCOPED_TRACE(family);
+    const ir::Program program = BuildProgram(family, 0);
+    const EdgeList edges = EdgeList::FromGraph(program.graph);
+    FusionKernelCache cache(program.graph, simulator, analytical);
+    FusionConfig config = DefaultFusion(program.graph, edges);
+    std::mt19937_64 rng(23);
+    int merges = 0, splits = 0;
+    size_t produced = 0;
+    for (int step = 0; step < 300; ++step) {
+      std::vector<int> partition;
+      const auto next =
+          FlipOneEdge(program.graph, edges, config, rng, {}, &partition);
+      if (!next.has_value()) continue;
+      const bool merged = std::count(next->fuse_edge.begin(),
+                                     next->fuse_edge.end(), true) >
+                          std::count(config.fuse_edge.begin(),
+                                     config.fuse_edge.end(), true);
+      (merged ? merges : splits) += 1;
+      config = *next;
+
+      const auto expected = ApplyFusion(program.graph, edges, config);
+      const auto cached = cache.Kernels(partition);
+      ASSERT_EQ(cached.size(), expected.size()) << "step " << step;
+      produced += expected.size();
+      for (size_t k = 0; k < expected.size(); ++k) {
+        const ir::Graph& want = expected[k].graph;
+        const ir::Graph& got = cached[k]->kernel.graph;
+        ASSERT_EQ(got.Fingerprint(), want.Fingerprint())
+            << "step " << step << " kernel " << k;
+        EXPECT_EQ(cached[k]->fingerprint, want.Fingerprint());
+        EXPECT_EQ(got.StructuralSignature(), want.StructuralSignature());
+        EXPECT_EQ(cached[k]->kernel.kind, expected[k].kind);
+        ASSERT_EQ(got.num_nodes(), want.num_nodes());
+        for (int n = 0; n < want.num_nodes(); ++n) {
+          EXPECT_EQ(got.node(n).is_output, want.node(n).is_output);
+        }
+        EXPECT_EQ(cached[k]->tile,
+                  CompilerDefaultTile(want, simulator, analytical));
+      }
+    }
+    EXPECT_GT(merges, 0);
+    EXPECT_GT(splits, 0);
+    // Neighbouring configurations share most groups, so the cache holds far
+    // fewer entries than the walk produced kernels.
+    EXPECT_LT(cache.size(), produced / 10);
+  }
+}
+
+TEST(FusionKernelCache, InlinedInputOnlyGroupsYieldNoKernel) {
+  const ir::Program program = BuildProgram("RNNLM", 0);
+  const EdgeList edges = EdgeList::FromGraph(program.graph);
+  const auto partition = DerivePartition(
+      program.graph, edges, DefaultFusion(program.graph, edges));
+  ASSERT_TRUE(partition.has_value());
+  const PartitionGroups groups = GroupPartition(program.graph, *partition);
+  int inputs_only = 0, with_compute = 0;
+  for (int g = 0; g < groups.num_groups(); ++g) {
+    bool compute = false;
+    for (const ir::NodeId id : groups.group(g)) {
+      const OpCode op = program.graph.node(id).op;
+      compute = compute || (op != OpCode::kParameter &&
+                            op != OpCode::kConstant && op != OpCode::kIota);
+    }
+    const auto kernel =
+        ExtractGroupKernel(program.graph, *partition, groups, g);
+    EXPECT_EQ(kernel.has_value(), compute) << "group " << g;
+    (compute ? with_compute : inputs_only) += 1;
+  }
+  EXPECT_GT(inputs_only, 0);
+  const sim::TpuSimulator simulator(sim::TpuTarget::V2());
+  const analytical::AnalyticalModel analytical(sim::TpuTarget::V2());
+  FusionKernelCache cache(program.graph, simulator, analytical);
+  EXPECT_EQ(static_cast<int>(cache.Kernels(*partition).size()), with_compute);
+  EXPECT_EQ(static_cast<int>(cache.size()), groups.num_groups());
 }
 
 }  // namespace
