@@ -940,7 +940,6 @@ Tensor BlockDiagSelfAttentionOp(Tape& tape, Tensor q, Tensor k, Tensor v,
   if (!kv.same_shape(qv) || vv.rows() != qv.rows()) {
     throw std::invalid_argument("BlockDiagSelfAttentionOp: shape mismatch");
   }
-  const int batch = static_cast<int>(offsets.size()) - 1;
   const int dim = qv.cols();
   const int vdim = vv.cols();
   const std::vector<std::int64_t> sq = SquaredOffsets(offsets);
