@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <map>
+#include <stdexcept>
 #include <unordered_set>
 
 #include "eval/metrics.h"
@@ -23,9 +24,9 @@ std::vector<TileTaskResult> EvaluateTileTask(
       if (kdata.record.program_id != pid) continue;
       if (kdata.configs.size() < 2) continue;
 
-      std::vector<double> scores(kdata.configs.size());
-      for (size_t c = 0; c < kdata.configs.size(); ++c) {
-        scores[c] = scorer(kdata, static_cast<int>(c));
+      const std::vector<double> scores = scorer(kdata);
+      if (scores.size() != kdata.configs.size()) {
+        throw std::logic_error("TileScorer: one score per config expected");
       }
       const size_t chosen = static_cast<size_t>(
           std::min_element(scores.begin(), scores.end()) - scores.begin());
@@ -72,21 +73,28 @@ std::vector<FusionTaskResult> EvaluateFusionTask(
 
 TileScorer MakeLearnedTileScorer(const LearnedCostModel& model,
                                  PreparedCache& cache) {
-  return [&model, &cache](const data::TileKernelData& kernel,
-                          int config_index) {
+  return [&model, &cache](const data::TileKernelData& kernel) {
     const PreparedKernel& pk =
         cache.Get(kernel.record.kernel.graph, kernel.record.fingerprint);
-    return model.PredictScore(
-        pk, &kernel.configs[static_cast<size_t>(config_index)]);
+    std::vector<BatchItem> items;
+    items.reserve(kernel.configs.size());
+    for (const ir::TileConfig& tile : kernel.configs) {
+      items.push_back({&pk, &tile});
+    }
+    return model.PredictBatch(model.PrepareBatch(items));
   };
 }
 
 TileScorer MakeAnalyticalTileScorer(
     const analytical::AnalyticalModel& analytical) {
-  return [&analytical](const data::TileKernelData& kernel, int config_index) {
-    return analytical.EstimateRuntime(
-        kernel.record.kernel.graph,
-        kernel.configs[static_cast<size_t>(config_index)]);
+  return [&analytical](const data::TileKernelData& kernel) {
+    std::vector<double> scores;
+    scores.reserve(kernel.configs.size());
+    for (const ir::TileConfig& tile : kernel.configs) {
+      scores.push_back(
+          analytical.EstimateRuntime(kernel.record.kernel.graph, tile));
+    }
+    return scores;
   };
 }
 

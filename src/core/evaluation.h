@@ -15,9 +15,10 @@
 
 namespace tpuperf::core {
 
-// Scores one (kernel, tile) pair; lower = predicted faster. Scale-free.
-using TileScorer = std::function<double(const data::TileKernelData& kernel,
-                                        int config_index)>;
+// Scores every measured tile config of one kernel: element c of the result
+// scores kernel.configs[c]; lower = predicted faster. Scale-free.
+using TileScorer =
+    std::function<std::vector<double>(const data::TileKernelData& kernel)>;
 
 // Estimates absolute runtime (seconds) of one fusion sample, or nullopt if
 // the estimator does not support the kernel (data-formatting kernels for
@@ -54,6 +55,8 @@ std::vector<FusionTaskResult> EvaluateFusionTask(
 
 // ---- Ready-made scorers ----------------------------------------------------
 
+// Packs a kernel's configs into one PredictBatch; by the PredictBatch
+// contract each score equals PredictScore(kernel, config) bit for bit.
 TileScorer MakeLearnedTileScorer(const LearnedCostModel& model,
                                  PreparedCache& cache);
 TileScorer MakeAnalyticalTileScorer(

@@ -8,9 +8,11 @@
 #include <atomic>
 #include <cmath>
 #include <cstdlib>
+#include <cstring>
 #include <mutex>
 #include <stdexcept>
 #include <utility>
+#include <vector>
 
 #include "core/thread_pool.h"
 #include "nn/quant.h"
@@ -50,18 +52,88 @@ bool ShouldParallelize(std::int64_t m, std::int64_t k, std::int64_t n) {
 // Shared mostly-zero dispatch heuristic: operands at >=70% exact zeros
 // (masked attention weights, adjacency-like matrices) are cheaper through
 // the zero-skip kernels than the dense tiled ones. The scan is O(size),
-// ~1/n of the GEMM cost; tiny operands skip it.
+// ~1/n of the GEMM cost; tiny operands skip it. It stops, chunk by chunk,
+// once the verdict is certain — 70% of the elements seen zero, or more
+// than 30% seen nonzero — so a dense operand is read about one third of
+// the way; the verdict is the full count's (zeros * 10 >= size * 7).
 bool MostlyZero(const Matrix& a) {
-  if (a.size() < 256) return false;
+  const std::size_t size = a.size();
+  if (size < 256) return false;
+  const std::size_t need_zeros = (size * 7 + 9) / 10;
+  const std::size_t max_nonzeros = size - need_zeros;
+  constexpr std::size_t kChunk = 256;
+  const float* data = a.data();
   std::size_t zeros = 0;
-  for (const float v : a.flat()) zeros += v == 0.0f;
-  return zeros * 10 >= a.size() * 7;
+  for (std::size_t begin = 0; begin < size; begin += kChunk) {
+    const std::size_t end = std::min(size, begin + kChunk);
+    for (std::size_t i = begin; i < end; ++i) zeros += data[i] == 0.0f;
+    if (zeros >= need_zeros) return true;
+    if (end - zeros > max_nonzeros) return false;
+  }
+  return false;
 }
 
-// ---- Built-in kernels (verbatim from the pre-backend nn/matrix.cpp) --------
+// ---- Built-in kernels ------------------------------------------------------
 
 void MatMulSparseARowRange(const Matrix& a, const Matrix& b, Matrix& out,
                            int i0, int i1);
+
+// ---- Backward register tiles ------------------------------------------------
+
+// Sixteen float lanes as one value (one AVX-512 register, two AVX ones).
+// The backward tiles keep their accumulators in these: each stays in a
+// register and lands on `out` as whole-vector adds, where the compiler
+// scalarizes the same stores from eight plain arrays. Lane by lane,
+// `acc += a * b` contracts exactly like the scalar loops (one fused
+// multiply-add where the target has FMA), so the arithmetic is unchanged.
+typedef float Lanes16 __attribute__((vector_size(16 * sizeof(float))));
+constexpr int kLanes = 16;
+
+// acc[r][h] += sum over ascending p of a_r[p * a_step] * b[p * ldb + 16h + j]
+// for rows r = 0..3 and kHalves 16-lane halves: every lane one
+// multiply-add chain, four (kHalves = 1) or eight (2) of them independent.
+template <int kHalves>
+inline void AccumulateTile(Lanes16 (&acc)[4][kHalves], const float* a0,
+                           const float* a1, const float* a2, const float* a3,
+                           size_t a_step, const float* b, size_t ldb, int k) {
+  for (int p = 0; p < k; ++p) {
+    const size_t ap = static_cast<size_t>(p) * a_step;
+    const float av0 = a0[ap], av1 = a1[ap], av2 = a2[ap], av3 = a3[ap];
+    for (int h = 0; h < kHalves; ++h) {
+      Lanes16 bv;
+      std::memcpy(&bv, b + static_cast<size_t>(p) * ldb + h * kLanes,
+                  sizeof bv);
+      acc[0][h] += av0 * bv;
+      acc[1][h] += av1 * bv;
+      acc[2][h] += av2 * bv;
+      acc[3][h] += av3 * bv;
+    }
+  }
+}
+
+// o[j] = v[j], or o[j] += v[j] with Accum, for the first `cols` lanes.
+template <bool Accum>
+inline void PutLanes(float* o, const Lanes16& v, int cols = kLanes) {
+  if (cols == kLanes) {
+    Lanes16 out = v;
+    if constexpr (Accum) {
+      Lanes16 prior;
+      std::memcpy(&prior, o, sizeof prior);
+      out = prior + v;
+    }
+    std::memcpy(o, &out, sizeof out);
+    return;
+  }
+  float lanes[kLanes];
+  std::memcpy(lanes, &v, sizeof lanes);
+  for (int j = 0; j < cols; ++j) {
+    if constexpr (Accum) {
+      o[j] += lanes[j];
+    } else {
+      o[j] = lanes[j];
+    }
+  }
+}
 
 // Rows [i0, i1) of out = a @ b.
 //
@@ -81,7 +153,12 @@ void MatMulSparseARowRange(const Matrix& a, const Matrix& b, Matrix& out,
 // per-kernel runs exactly (the serve::PredictionService parity
 // contract), and parallel row chunks match the serial kernel at any
 // boundary. With Accum the register partial sums are added onto `out`
-// (fused backward).
+// (fused backward), and full 32-column panels run a 4x32 tile first: eight
+// independent accumulator chains instead of four keep both FMA ports busy,
+// while each element is still the same ascending-p chain as in the 4x16
+// body. The forward instantiation keeps exactly the 4x16 body and the
+// column remainder loop below (whose products the compiler rounds before
+// adding them, so the remainder columns are not FMA chains).
 template <bool Accum>
 void MatMulRowRange(const Matrix& a, const Matrix& b, Matrix& out, int i0,
                     int i1) {
@@ -104,6 +181,27 @@ void MatMulRowRange(const Matrix& a, const Matrix& b, Matrix& out, int i0,
     float* o2 = out.data() + static_cast<size_t>(r2) * n;
     float* o3 = out.data() + static_cast<size_t>(r3) * n;
     int j0 = 0;
+    if constexpr (Accum) {
+      for (; j0 + 2 * kColBlock <= n; j0 += 2 * kColBlock) {
+        Lanes16 acc[4][2] = {};
+        AccumulateTile<2>(acc, a0, a1, a2, a3, 1, b.data() + j0,
+                          static_cast<size_t>(n), k);
+        PutLanes<true>(o0 + j0, acc[0][0]);
+        PutLanes<true>(o0 + j0 + kColBlock, acc[0][1]);
+        if (valid > 1) {
+          PutLanes<true>(o1 + j0, acc[1][0]);
+          PutLanes<true>(o1 + j0 + kColBlock, acc[1][1]);
+        }
+        if (valid > 2) {
+          PutLanes<true>(o2 + j0, acc[2][0]);
+          PutLanes<true>(o2 + j0 + kColBlock, acc[2][1]);
+        }
+        if (valid > 3) {
+          PutLanes<true>(o3 + j0, acc[3][0]);
+          PutLanes<true>(o3 + j0 + kColBlock, acc[3][1]);
+        }
+      }
+    }
     for (; j0 + kColBlock <= n; j0 += kColBlock) {
       float acc0[kColBlock] = {}, acc1[kColBlock] = {};
       float acc2[kColBlock] = {}, acc3[kColBlock] = {};
@@ -227,78 +325,74 @@ void MatMulDispatch(Matrix& out, const Matrix& a, const Matrix& b) {
   MatMulDispatchKnown(out, a, b, MostlyZero(a));
 }
 
-// Rows [i0, i1) of out = a^T @ b through the register-tiled kernel: 4
-// output rows (= columns of a) x 16 output columns accumulated over the
-// full k extent in registers, ascending p per element — the backward-pass
-// analogue of MatMulRowRange. With Accum the register partial sums are added
-// onto `out` instead of stored (out op= acc), fusing the backward's
-// grad-accumulation into the GEMM.
+// Rows [i0, i1) of out = a^T @ b through the register-tiled kernel — the
+// backward-pass (dW) analogue of MatMulRowRange. Each block of 4 output
+// rows (= columns of a) runs 4x32 tiles (eight independent accumulator
+// chains, so both FMA ports stay busy), then a 4x16 tile, then the n % 16
+// remainder columns through the same 16-lane body over a zero-padded
+// [k, 16] panel of them, built once per call. Every element of a row block
+// is therefore one ascending-p multiply-add chain from zero, added to (with
+// Accum) or stored into `out` once, whatever its column. The trailing
+// (i1 - i0) % 4 rows accumulate straight into `out` instead, each element
+// a chain seeded with its prior value. With Accum the register partial sums
+// are added onto `out` instead of stored (out op= acc), fusing the
+// backward's grad-accumulation into the GEMM.
 template <bool Accum>
 void MatMulTransposeADenseRange(const Matrix& a, const Matrix& b, Matrix& out,
                                 int i0, int i1) {
   const int k = a.rows(), m = a.cols(), n = b.cols();
   constexpr int kRowBlock = 4;
-  constexpr int kColBlock = 16;
+  const int rem = n % kLanes;
+  const float* panel = nullptr;
+  if (rem > 0 && i0 + kRowBlock <= i1) {
+    static thread_local std::vector<float> panel_scratch;
+    panel_scratch.assign(static_cast<size_t>(k) * kLanes, 0.0f);
+    for (int p = 0; p < k; ++p) {
+      const float* src = b.data() + static_cast<size_t>(p) * n + (n - rem);
+      std::copy(src, src + rem,
+                panel_scratch.data() + static_cast<size_t>(p) * kLanes);
+    }
+    panel = panel_scratch.data();
+  }
+  const size_t a_step = static_cast<size_t>(m);
   int i = i0;
   for (; i + kRowBlock <= i1; i += kRowBlock) {
+    const float* a0 = a.data() + i;
+    float* __restrict o0 = out.data() + static_cast<size_t>(i) * n;
+    float* __restrict o1 = o0 + n;
+    float* __restrict o2 = o1 + n;
+    float* __restrict o3 = o2 + n;
     int j0 = 0;
-    for (; j0 + kColBlock <= n; j0 += kColBlock) {
-      float acc0[kColBlock] = {}, acc1[kColBlock] = {};
-      float acc2[kColBlock] = {}, acc3[kColBlock] = {};
-      for (int p = 0; p < k; ++p) {
-        const float* __restrict a_row =
-            a.data() + static_cast<size_t>(p) * m + i;
-        const float* __restrict b_row =
-            b.data() + static_cast<size_t>(p) * n + j0;
-        const float av0 = a_row[0], av1 = a_row[1];
-        const float av2 = a_row[2], av3 = a_row[3];
-        for (int j = 0; j < kColBlock; ++j) {
-          acc0[j] += av0 * b_row[j];
-          acc1[j] += av1 * b_row[j];
-          acc2[j] += av2 * b_row[j];
-          acc3[j] += av3 * b_row[j];
-        }
-      }
-      float* __restrict o0 = out.data() + static_cast<size_t>(i) * n + j0;
-      float* __restrict o1 = o0 + n;
-      float* __restrict o2 = o1 + n;
-      float* __restrict o3 = o2 + n;
-      for (int j = 0; j < kColBlock; ++j) {
-        if constexpr (Accum) {
-          o0[j] += acc0[j];
-          o1[j] += acc1[j];
-          o2[j] += acc2[j];
-          o3[j] += acc3[j];
-        } else {
-          o0[j] = acc0[j];
-          o1[j] = acc1[j];
-          o2[j] = acc2[j];
-          o3[j] = acc3[j];
-        }
-      }
+    for (; j0 + 2 * kLanes <= n; j0 += 2 * kLanes) {
+      Lanes16 acc[4][2] = {};
+      AccumulateTile<2>(acc, a0, a0 + 1, a0 + 2, a0 + 3, a_step,
+                        b.data() + j0, static_cast<size_t>(n), k);
+      PutLanes<Accum>(o0 + j0, acc[0][0]);
+      PutLanes<Accum>(o1 + j0, acc[1][0]);
+      PutLanes<Accum>(o2 + j0, acc[2][0]);
+      PutLanes<Accum>(o3 + j0, acc[3][0]);
+      PutLanes<Accum>(o0 + j0 + kLanes, acc[0][1]);
+      PutLanes<Accum>(o1 + j0 + kLanes, acc[1][1]);
+      PutLanes<Accum>(o2 + j0 + kLanes, acc[2][1]);
+      PutLanes<Accum>(o3 + j0 + kLanes, acc[3][1]);
     }
-    for (; j0 < n; ++j0) {
-      float s0 = 0, s1 = 0, s2 = 0, s3 = 0;
-      for (int p = 0; p < k; ++p) {
-        const float* __restrict a_row =
-            a.data() + static_cast<size_t>(p) * m + i;
-        const float bv = b.data()[static_cast<size_t>(p) * n + j0];
-        s0 += a_row[0] * bv;
-        s1 += a_row[1] * bv;
-        s2 += a_row[2] * bv;
-        s3 += a_row[3] * bv;
-      }
-      if constexpr (Accum) {
-        out.at(i, j0) += s0;
-        out.at(i + 1, j0) += s1;
-        out.at(i + 2, j0) += s2;
-        out.at(i + 3, j0) += s3;
-      } else {
-        out.at(i, j0) = s0;
-        out.at(i + 1, j0) = s1;
-        out.at(i + 2, j0) = s2;
-        out.at(i + 3, j0) = s3;
-      }
+    for (; j0 + kLanes <= n; j0 += kLanes) {
+      Lanes16 acc[4][1] = {};
+      AccumulateTile<1>(acc, a0, a0 + 1, a0 + 2, a0 + 3, a_step,
+                        b.data() + j0, static_cast<size_t>(n), k);
+      PutLanes<Accum>(o0 + j0, acc[0][0]);
+      PutLanes<Accum>(o1 + j0, acc[1][0]);
+      PutLanes<Accum>(o2 + j0, acc[2][0]);
+      PutLanes<Accum>(o3 + j0, acc[3][0]);
+    }
+    if (rem > 0) {
+      Lanes16 acc[4][1] = {};
+      AccumulateTile<1>(acc, a0, a0 + 1, a0 + 2, a0 + 3, a_step, panel,
+                        kLanes, k);
+      PutLanes<Accum>(o0 + j0, acc[0][0], rem);
+      PutLanes<Accum>(o1 + j0, acc[1][0], rem);
+      PutLanes<Accum>(o2 + j0, acc[2][0], rem);
+      PutLanes<Accum>(o3 + j0, acc[3][0], rem);
     }
   }
   for (; i < i1; ++i) {
@@ -472,14 +566,44 @@ void MatMulTransposeBDispatch(const Matrix& a, const Matrix& b, Matrix& out) {
   }
 }
 
+// dst += a @ b, taking the caller's precomputed MostlyZero verdict for
+// `a`: the accumulating row kernel (the dX GEMM of the backward pass).
+void MatMulAccumKnown(Matrix& dst, const Matrix& a, const Matrix& b,
+                      bool sparse_a) {
+  const int m = a.rows(), k = a.cols(), n = b.cols();
+  // Same density dispatch as MatMul: mostly-zero gradients (post-ReLU)
+  // keep the zero-skip row kernel, which accumulates natively.
+  if (sparse_a) {
+    if (ShouldParallelize(m, k, n)) {
+      core::ParallelFor(0, m, RowGrain(m, 2ll * k * n),
+                        [&](std::int64_t lo, std::int64_t hi) {
+                          MatMulSparseARowRange(a, b, dst,
+                                                static_cast<int>(lo),
+                                                static_cast<int>(hi));
+                        });
+    } else {
+      MatMulSparseARowRange(a, b, dst, 0, m);
+    }
+  } else if (ShouldParallelize(m, k, n)) {
+    core::ParallelFor(0, m, RowGrain(m, 2ll * k * n),
+                      [&](std::int64_t lo, std::int64_t hi) {
+                        MatMulRowRange<true>(a, b, dst, static_cast<int>(lo),
+                                             static_cast<int>(hi));
+                      });
+  } else {
+    MatMulRowRange<true>(a, b, dst, 0, m);
+  }
+}
+
 // dst += a @ b^T, taking the caller's precomputed MostlyZero verdict for
 // `a`. The transpose-the-small-operand trick: transposing b once lets the
 // vectorized j-inner row kernel carry the GEMM instead of the scalar 4x4
 // dot kernel — the backward's hottest product runs at forward-kernel
 // throughput. Each element still accumulates over ascending p, so values
-// match the dot kernel up to FP contraction (~1 ulp). The transpose lives
-// in a thread-local scratch (the same weight shapes recur step after
-// step), so steady-state training allocates nothing here.
+// match the dot kernel up to FP contraction (~1 ulp), and equal
+// MatMulAccum(dst, a, b^T) exactly. The transpose lives in a thread-local
+// scratch (the same weight shapes recur step after step), so steady-state
+// training allocates nothing here.
 void TransposeBAccumKnown(Matrix& dst, const Matrix& a, const Matrix& b,
                           bool sparse_a) {
   static thread_local Matrix bt_scratch;
@@ -487,30 +611,7 @@ void TransposeBAccumKnown(Matrix& dst, const Matrix& a, const Matrix& b,
   for (int i = 0; i < b.rows(); ++i) {
     for (int j = 0; j < b.cols(); ++j) bt.at(j, i) = b.at(i, j);
   }
-  const int m = a.rows(), k = a.cols(), n = b.rows();
-  // Same density dispatch as MatMul: mostly-zero gradients (post-ReLU)
-  // keep the zero-skip row kernel, which accumulates natively.
-  if (sparse_a) {
-    if (ShouldParallelize(m, k, n)) {
-      core::ParallelFor(0, m, RowGrain(m, 2ll * k * n),
-                        [&](std::int64_t lo, std::int64_t hi) {
-                          MatMulSparseARowRange(a, bt, dst,
-                                                static_cast<int>(lo),
-                                                static_cast<int>(hi));
-                        });
-    } else {
-      MatMulSparseARowRange(a, bt, dst, 0, m);
-    }
-  } else if (ShouldParallelize(m, k, n)) {
-    core::ParallelFor(0, m, RowGrain(m, 2ll * k * n),
-                      [&](std::int64_t lo, std::int64_t hi) {
-                        MatMulRowRange<true>(a, bt, dst,
-                                             static_cast<int>(lo),
-                                             static_cast<int>(hi));
-                      });
-  } else {
-    MatMulRowRange<true>(a, bt, dst, 0, m);
-  }
+  MatMulAccumKnown(dst, a, bt, sparse_a);
   bt_scratch = std::move(bt);  // hand the buffer back for the next call
 }
 
@@ -541,6 +642,9 @@ class BuiltinBackend final : public GemmBackend {
   void MatMulTransposeBAccum(Matrix& dst, const Matrix& a,
                              const Matrix& b) override {
     TransposeBAccumKnown(dst, a, b, MostlyZero(a));
+  }
+  void MatMulAccum(Matrix& dst, const Matrix& a, const Matrix& b) override {
+    MatMulAccumKnown(dst, a, b, MostlyZero(a));
   }
 };
 
@@ -629,6 +733,19 @@ void RoutedGemmBackend::MatMulTransposeBAccum(Matrix& dst, const Matrix& a,
     return;
   }
   DenseTransposeB(dst, a, b, /*accumulate=*/true);
+}
+
+void RoutedGemmBackend::MatMulAccum(Matrix& dst, const Matrix& a,
+                                    const Matrix& b) {
+  if (!WorthExternalCall(a.rows(), a.cols(), b.cols())) {
+    MatMulAccumKnown(dst, a, b, MostlyZero(a));
+    return;
+  }
+  if (MostlyZero(a)) {
+    MatMulAccumKnown(dst, a, b, /*sparse_a=*/true);
+    return;
+  }
+  DenseMatMul(dst, a, b, /*accumulate=*/true);
 }
 
 // ---- CBLAS backend ----------------------------------------------------------
@@ -1079,6 +1196,12 @@ void MatMulTransposeBAccum(Matrix& dst, const Matrix& a, const Matrix& b) {
   CheckAccumShape(dst, a.rows(), b.rows(), "MatMulTransposeBAccum");
   Dispatch(&GemmBackend::MatMulTransposeBAccum, "MatMulTransposeBAccum", dst,
            a, b, a.cols());
+}
+
+void MatMulAccum(Matrix& dst, const Matrix& a, const Matrix& b) {
+  CheckMatMulShapes(a, b, "MatMulAccum");
+  CheckAccumShape(dst, a.rows(), b.cols(), "MatMulAccum");
+  Dispatch(&GemmBackend::MatMulAccum, "MatMulAccum", dst, a, b, a.cols());
 }
 
 }  // namespace tpuperf::nn

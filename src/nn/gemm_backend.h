@@ -2,7 +2,7 @@
 /// Pluggable GEMM backend dispatch (ROADMAP "Multi-backend GEMM").
 ///
 /// Every hot path in the reproduction — batched GNN inference, the fused
-/// attention backward, trainer minibatch steps — bottoms out in the six
+/// attention backward, trainer minibatch steps — bottoms out in the seven
 /// GEMM entry points declared in nn/matrix.h. This header makes those entry
 /// points dispatch through a process-global `GemmBackend`, so hosts with an
 /// optimized BLAS (or Eigen) can route large dense contractions to the
@@ -79,7 +79,7 @@ struct GemmParityTolerance {
   float atol = kGemmParityRtol;
 };
 
-/// One GEMM implementation covering all six entry points of nn/matrix.h.
+/// One GEMM implementation covering all seven entry points of nn/matrix.h.
 ///
 /// Contract (shapes are pre-validated by the nn::MatMul* wrappers; `out`
 /// arrives already shaped and zero-filled for the non-accumulating calls):
@@ -89,6 +89,7 @@ struct GemmParityTolerance {
 ///   * MatMulTransposeB: out = a @ b^T         a:[m,k] b:[n,k] out:[m,n]
 ///   * MatMulTransposeAAccum: dst += a^T @ b   (dst holds prior grads)
 ///   * MatMulTransposeBAccum: dst += a @ b^T
+///   * MatMulAccum:     dst += a @ b           (dst holds prior grads)
 ///
 /// Implementations must be safe to call concurrently from pool workers
 /// (no mutable per-call state beyond locals / thread_locals) and must not
@@ -113,6 +114,7 @@ class GemmBackend {
                                      const Matrix& b) = 0;
   virtual void MatMulTransposeBAccum(Matrix& dst, const Matrix& a,
                                      const Matrix& b) = 0;
+  virtual void MatMulAccum(Matrix& dst, const Matrix& a, const Matrix& b) = 0;
 
   /// The parity-mode tolerance this backend claims for one dispatched
   /// product with entry-point operands `a`/`b` and contraction extent
@@ -126,7 +128,7 @@ class GemmBackend {
 
 /// Base class for backends that wrap an external dense-GEMM library.
 ///
-/// Implements the six entry points with the routing policy described in the
+/// Implements the seven entry points with the routing policy described in the
 /// file comment: dense operands whose product exceeds
 /// `kExternalDispatchFlops` multiply-adds go to the subclass's Dense*
 /// hooks; mostly-zero left operands (the same >=70%-zeros heuristic the
@@ -151,6 +153,7 @@ class RoutedGemmBackend : public GemmBackend {
                              const Matrix& b) final;
   void MatMulTransposeBAccum(Matrix& dst, const Matrix& a,
                              const Matrix& b) final;
+  void MatMulAccum(Matrix& dst, const Matrix& a, const Matrix& b) final;
 
  protected:
   /// Library hooks. `accumulate=false`: overwrite `out` (it arrives

@@ -1,4 +1,4 @@
-// Matrix storage plus the elementwise/reduction helpers. The six GEMM
+// Matrix storage plus the elementwise/reduction helpers. The seven GEMM
 // entry points declared in nn/matrix.h are implemented in
 // nn/gemm_backend.cpp, where the built-in register-tiled kernels and the
 // pluggable backend dispatch live.

@@ -3,13 +3,13 @@
 /// the autograd engine is built on. Everything in the learned cost model's
 /// forward/backward passes bottoms out here.
 ///
-/// The six GEMM entry points (MatMul/MatMulInto, MatMulSparseA/Into,
-/// MatMulTransposeA/B and their Accum variants) dispatch through the
-/// process-global backend selected in nn/gemm_backend.h: the built-in
-/// register-tiled kernels by default, an external library (CBLAS, Eigen)
-/// when one is compiled in and selected. The "builtin" backend reproduces
-/// the historical results bit for bit; external backends agree within the
-/// FP-contraction tolerance documented at nn::kGemmParityRtol.
+/// The seven GEMM entry points (MatMul/MatMulInto, MatMulSparseA/Into,
+/// MatMulTransposeA/B, their Accum variants and MatMulAccum) dispatch
+/// through the process-global backend selected in nn/gemm_backend.h: the
+/// built-in register-tiled kernels by default, an external library (CBLAS,
+/// Eigen) when one is compiled in and selected. The "builtin" backend
+/// reproduces the historical results bit for bit; external backends agree
+/// within the FP-contraction tolerance documented at nn::kGemmParityRtol.
 #pragma once
 
 #include <cassert>
@@ -154,6 +154,12 @@ void MatMulTransposeAAccum(Matrix& dst, const Matrix& a, const Matrix& b);
 /// vectorized row kernel carries the product instead of the scalar dot
 /// kernel: the backward's hottest GEMM runs at forward throughput.
 void MatMulTransposeBAccum(Matrix& dst, const Matrix& a, const Matrix& b);
+/// dst += a @ b, through the accumulating row kernel MatMulTransposeBAccum
+/// runs after its transpose: MatMulAccum(dst, a, Transpose(b)) equals
+/// MatMulTransposeBAccum(dst, a, b) bit for bit on the built-in backend.
+/// For callers that hold the transposed operand already (the LSTM's
+/// recurrent weight, transposed once per forward pass).
+void MatMulAccum(Matrix& dst, const Matrix& a, const Matrix& b);
 
 // ---- Elementwise / reduction helpers ----------------------------------------
 

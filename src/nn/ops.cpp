@@ -624,7 +624,7 @@ Tensor SliceColsOp(Tape& tape, Tensor x, int begin, int cols) {
 }
 
 Tensor LstmGatePreactOp(Tape& tape, Tensor x_rows, std::span<const int> ids,
-                        Tensor h, Tensor w, Tensor bias) {
+                        Tensor h, Tensor w, const Matrix* w_t, Tensor bias) {
   const Matrix& xv = x_rows.value();
   const Matrix& hv = h.value();
   const Matrix& wv = w.value();
@@ -634,6 +634,11 @@ Tensor LstmGatePreactOp(Tape& tape, Tensor x_rows, std::span<const int> ids,
   if (hv.rows() != batch || wv.rows() != hv.cols() || wv.cols() != out_cols ||
       bv.rows() != 1 || bv.cols() != out_cols) {
     throw std::invalid_argument("LstmGatePreactOp: shape mismatch");
+  }
+  if (tape.grad_enabled() && (w_t == nullptr || w_t->rows() != wv.cols() ||
+                              w_t->cols() != wv.rows())) {
+    throw std::invalid_argument(
+        "LstmGatePreactOp: a grad-enabled tape needs w transposed");
   }
   Matrix y = tape.NewMatrixUninit(batch, out_cols);
   LstmGatePreactForward(y, xv, ids, hv, wv, bv);
@@ -645,7 +650,8 @@ Tensor LstmGatePreactOp(Tape& tape, Tensor x_rows, std::span<const int> ids,
   const bool fused = FusedOpsEnabled();
   return tape.NewNode(
       std::move(y), {xn, hn, wn, bn},
-      [xn, hn, wn, bn, ids = std::move(ids_copy), fused](TapeNode& self) {
+      [xn, hn, wn, w_t, bn, ids = std::move(ids_copy),
+       fused](TapeNode& self) {
         // Backward GEMMs below dispatch through the selected backend
         // (nn/gemm_backend.h), like MatMulOp's.
         const Matrix& g = self.grad;
@@ -658,7 +664,7 @@ Tensor LstmGatePreactOp(Tape& tape, Tensor x_rows, std::span<const int> ids,
         }
         if (hn->requires_grad) {
           if (fused) {
-            MatMulTransposeBAccum(hn->grad, g, wn->value);
+            MatMulAccum(hn->grad, g, *w_t);
           } else {
             AccumulateInto(hn->grad, MatMulTransposeB(g, wn->value));
           }

@@ -74,8 +74,13 @@ Tensor SliceColsOp(Tape& tape, Tensor x, int begin, int cols);
 // where x_rows is the input-side gate projection precomputed for ALL nodes
 // in one large GEMM (hoisted out of the time loop), ids selects the active
 // row per segment, and w is the recurrent weight block [hidden, 4h].
+// `w_t` is w transposed ([4h, hidden]), which the backward's dh GEMM
+// accumulates against (MatMulAccum), so a caller running many steps on one
+// weight transposes it once per pass instead of once per step. It must be
+// non-null when the tape records gradients and is ignored otherwise; the
+// caller keeps it alive until backward has run.
 Tensor LstmGatePreactOp(Tape& tape, Tensor x_rows, std::span<const int> ids,
-                        Tensor h, Tensor w, Tensor bias);
+                        Tensor h, Tensor w, const Matrix* w_t, Tensor bias);
 
 // Fused LSTM cell: given the pre-activation `preact` = [i | f | g | o]
 // ([B, 4h], gate order input/forget/cell/output) and the previous cell

@@ -189,7 +189,11 @@ class QuantInt8Backend final : public RoutedGemmBackend {
                    bool accumulate) override {
     const int k = a.cols();
     if (k > kInt8MaxInnerExtent) {
-      BuiltinGemmBackend().MatMul(out, a, b);
+      if (accumulate) {
+        BuiltinGemmBackend().MatMulAccum(out, a, b);
+      } else {
+        BuiltinGemmBackend().MatMul(out, a, b);
+      }
       return;
     }
     QuantScratch& s = Scratch();
@@ -253,10 +257,13 @@ class Fp16Backend final : public RoutedGemmBackend {
  protected:
   void DenseMatMul(Matrix& out, const Matrix& a, const Matrix& b,
                    bool accumulate) override {
-    (void)accumulate;  // MatMul has no accumulating entry point
     Matrix& ha = RoundedCopyA(a);
     Matrix& hb = RoundedCopyB(b);
-    BuiltinGemmBackend().MatMul(out, ha, hb);
+    if (accumulate) {
+      BuiltinGemmBackend().MatMulAccum(out, ha, hb);
+    } else {
+      BuiltinGemmBackend().MatMul(out, ha, hb);
+    }
   }
 
   void DenseTransposeA(Matrix& out, const Matrix& a, const Matrix& b,

@@ -85,6 +85,17 @@ Tensor Lstm::ForwardBatched(Tape& tape, Tensor x,
   // Input-side and recurrent weight blocks of the fused gate matrix.
   Tensor w_x = SliceRowsOp(tape, w_all, 0, in_features);
   Tensor w_h = SliceRowsOp(tape, w_all, in_features, hidden_);
+  // The recurrent block transposed once for the backward's dh GEMMs of
+  // every step (a stash leaf: no gradient flows through it).
+  const Matrix* w_h_t = nullptr;
+  if (tape.grad_enabled()) {
+    const Matrix& wv = w_h.value();
+    Matrix t = tape.NewMatrixUninit(wv.cols(), wv.rows());
+    for (int i = 0; i < wv.rows(); ++i) {
+      for (int j = 0; j < wv.cols(); ++j) t.at(j, i) = wv.at(i, j);
+    }
+    w_h_t = &tape.Leaf(std::move(t)).value();
+  }
   // The input-side projection of EVERY node, in one large GEMM hoisted out
   // of the time loop; each step just gathers its active rows.
   Tensor xw = MatMulOp(tape, x, w_x);  // [total_nodes, 4h]
@@ -121,7 +132,7 @@ Tensor Lstm::ForwardBatched(Tape& tape, Tensor x,
       ids[static_cast<size_t>(k)] =
           offsets[static_cast<size_t>(order[static_cast<size_t>(k)])] + t;
     }
-    Tensor preact = LstmGatePreactOp(tape, xw, ids, h, w_h, b_all);
+    Tensor preact = LstmGatePreactOp(tape, xw, ids, h, w_h, w_h_t, b_all);
     Tensor hc = LstmCellOp(tape, preact, c);  // [active, 2h] = [h | c]
     h = SliceColsOp(tape, hc, 0, hidden_);
     c = SliceColsOp(tape, hc, hidden_, hidden_);

@@ -47,9 +47,8 @@ data::TileDataset* EvaluationTest::tile_ = nullptr;
 data::FusionDataset* EvaluationTest::fusion_ = nullptr;
 
 TEST_F(EvaluationTest, OracleTileScorerIsPerfect) {
-  const TileScorer oracle = [](const data::TileKernelData& kernel,
-                               int config_index) {
-    return kernel.runtimes[static_cast<size_t>(config_index)];
+  const TileScorer oracle = [](const data::TileKernelData& kernel) {
+    return kernel.runtimes;
   };
   const std::vector<int> programs = {0, 1};
   const auto results = EvaluateTileTask(*tile_, programs, *corpus_, oracle);
@@ -62,9 +61,10 @@ TEST_F(EvaluationTest, OracleTileScorerIsPerfect) {
 }
 
 TEST_F(EvaluationTest, InvertedTileScorerIsBad) {
-  const TileScorer inverted = [](const data::TileKernelData& kernel,
-                                 int config_index) {
-    return -kernel.runtimes[static_cast<size_t>(config_index)];
+  const TileScorer inverted = [](const data::TileKernelData& kernel) {
+    std::vector<double> scores;
+    for (const double runtime : kernel.runtimes) scores.push_back(-runtime);
+    return scores;
   };
   const std::vector<int> programs = {0};
   const auto results = EvaluateTileTask(*tile_, programs, *corpus_, inverted);

@@ -1,9 +1,10 @@
 // GEMM backend dispatch (src/nn/gemm_backend.h): registry semantics,
-// TPUPERF_GEMM_BACKEND env selection, six-entry-point parity of every
+// TPUPERF_GEMM_BACKEND env selection, seven-entry-point parity of every
 // registered backend against the built-in kernels (including empty, 1-row,
 // and non-multiple-of-tile shapes), routed fallback for sparse/tiny
-// operands, threaded parity at pool widths 1 and 4, and the parity-check
-// mode. Parity tolerances are per backend (GemmBackend::ParityBound): the
+// operands, threaded parity at pool widths 1 and 4, the parity-check mode,
+// and the exact per-element multiply-add order of the built-in backward
+// kernels. Parity tolerances are per backend (GemmBackend::ParityBound): the
 // reduced-precision backends are checked against their own derived bounds
 // while the f32 backends keep the strict kGemmParityRtol default, so one
 // shared constant can never silently relax the strict checks.
@@ -287,7 +288,7 @@ TEST_F(GemmBackendTest, EnvArmsParityCheck) {
   EXPECT_TRUE(GemmParityCheckEnabled());
 }
 
-// ---- Six-entry-point parity -------------------------------------------------
+// ---- Seven-entry-point parity -----------------------------------------------
 
 struct GemmShape {
   int m, k, n;
@@ -304,7 +305,7 @@ const GemmShape kShapes[] = {
     {96, 64, 80, 8}, {200, 128, 160, 0},
 };
 
-// Runs all six entry points (plus the Into variants) of the *selected*
+// Runs all seven entry points (plus the Into variants) of the *selected*
 // backend and compares against the built-in backend invoked directly,
 // within the selected backend's own ParityBound for each product (the
 // contraction extent is s.k for every entry in this grid).
@@ -362,6 +363,14 @@ void CheckAllEntryPointsAgainstBuiltin(const GemmShape& s) {
     MatMulTransposeBAccum(got, a, tb_b);
     ExpectNear(got, want, "MatMulTransposeBAccum", tol);
   }
+  {
+    const GemmParityTolerance tol = selected.ParityBound(a, b, s.k);
+    Matrix want = PseudoRandom(s.m, s.n, 7);
+    Matrix got = want;
+    builtin.MatMulAccum(want, a, b);
+    MatMulAccum(got, a, b);
+    ExpectNear(got, want, "MatMulAccum", tol);
+  }
 }
 
 TEST_F(GemmBackendTest, EveryRegisteredBackendMatchesBuiltinOnAllShapes) {
@@ -389,6 +398,108 @@ TEST_F(GemmBackendTest, BuiltinDispatchIsBitIdenticalToDirectCall) {
   ExpectBitEqual(MatMul(a, b), want, "builtin MatMul");
 }
 
+// ---- Exact order of the built-in backward kernels --------------------------
+
+// One step of the kernels' multiply-add chains: a single rounding where the
+// target has FMA (the compiler contracts `acc += a * b` there), a rounded
+// product and a rounded add otherwise.
+float MulAdd(float a, float b, float acc) {
+#ifdef __FMA__
+  return std::fma(a, b, acc);
+#else
+  return acc + a * b;
+#endif
+}
+
+// Column counts on both sides of every 16- and 32-lane boundary, row counts
+// with and without a partial 4-row block.
+const int kBackwardCols[] = {1,  2,  3,  4,  5,  6,  7,  8,  9,  10, 11, 12,
+                             13, 14, 15, 16, 17, 20, 31, 32, 33, 48, 69, 128,
+                             144};
+const int kBackwardRows[] = {1, 3, 4, 5, 61};
+
+// dW = a^T @ b (MatMulTransposeA[Accum], a:[k,m], b:[k,n]). Rows in full
+// 4-row blocks: each element is an ascending-p multiply-add chain from zero,
+// added to the prior value once — whatever its column, including the n % 16
+// remainder that runs over the zero-padded panel. The trailing m % 4 rows
+// accumulate in place: the chain starts from the prior value.
+TEST_F(GemmBackendTest, TransposeAKernelIsAnAscendingPChainPerElement) {
+  for (const int k : {1, 9, 37}) {
+    for (const int m : kBackwardRows) {
+      for (const int n : kBackwardCols) {
+        SCOPED_TRACE("k=" + std::to_string(k) + " m=" + std::to_string(m) +
+                     " n=" + std::to_string(n));
+        const Matrix a = PseudoRandom(k, m, 31 + m);
+        const Matrix b = PseudoRandom(k, n, 37 + n);
+        const Matrix prior = PseudoRandom(m, n, 41);
+        const int blocked_rows = m / 4 * 4;
+        Matrix want_accum(m, n), want_plain(m, n);
+        for (int i = 0; i < m; ++i) {
+          for (int j = 0; j < n; ++j) {
+            float chain = 0.0f;
+            float seeded = prior.at(i, j);
+            for (int p = 0; p < k; ++p) {
+              chain = MulAdd(a.at(p, i), b.at(p, j), chain);
+              seeded = MulAdd(a.at(p, i), b.at(p, j), seeded);
+            }
+            want_plain.at(i, j) = chain;
+            want_accum.at(i, j) =
+                i < blocked_rows ? prior.at(i, j) + chain : seeded;
+          }
+        }
+        Matrix got = prior;
+        MatMulTransposeAAccum(got, a, b);
+        ExpectBitEqual(got, want_accum, "MatMulTransposeAAccum");
+        ExpectBitEqual(MatMulTransposeA(a, b), want_plain, "MatMulTransposeA");
+      }
+    }
+  }
+}
+
+// dX = a @ b^T (MatMulTransposeBAccum, a:[m,k], b:[n,k]) runs the
+// accumulating row kernel on b^T, as MatMulAccum does on a caller's b^T.
+// Columns in full 16-lane blocks (the 4x32 and 4x16 tiles) are
+// ascending-p chains from zero added to the prior value once. The n % 16
+// remainder columns share the forward kernel's remainder loop, so every
+// column equals the prior value plus the forward MatMul of the same
+// operands.
+TEST_F(GemmBackendTest, AccumRowKernelIsAnAscendingPChainPerElement) {
+  for (const int k : {1, 9, 37}) {
+    for (const int m : kBackwardRows) {
+      for (const int n : kBackwardCols) {
+        SCOPED_TRACE("k=" + std::to_string(k) + " m=" + std::to_string(m) +
+                     " n=" + std::to_string(n));
+        const Matrix a = PseudoRandom(m, k, 43 + m);
+        const Matrix b = PseudoRandom(n, k, 47 + n);
+        const Matrix bt = Transpose(b);
+        const Matrix prior = PseudoRandom(m, n, 53);
+        Matrix got = prior;
+        MatMulTransposeBAccum(got, a, b);
+        Matrix got_accum = prior;
+        MatMulAccum(got_accum, a, bt);
+        ExpectBitEqual(got_accum, got, "MatMulAccum vs TransposeBAccum");
+
+        const Matrix forward = MatMul(a, bt);
+        Matrix want = prior;
+        const int blocked_cols = n / 16 * 16;
+        for (int i = 0; i < m; ++i) {
+          for (int j = 0; j < n; ++j) {
+            if (j < blocked_cols) {
+              float chain = 0.0f;
+              for (int p = 0; p < k; ++p) {
+                chain = MulAdd(a.at(i, p), b.at(j, p), chain);
+              }
+              ASSERT_EQ(forward.at(i, j), chain) << "(" << i << "," << j << ")";
+            }
+            want.at(i, j) += forward.at(i, j);
+          }
+        }
+        ExpectBitEqual(got, want, "MatMulTransposeBAccum");
+      }
+    }
+  }
+}
+
 // ---- Routed fallbacks -------------------------------------------------------
 
 TEST_F(GemmBackendTest, RoutedBackendFallsBackToBuiltinForSparseOperands) {
@@ -411,6 +522,36 @@ TEST_F(GemmBackendTest, RoutedBackendFallsBackToBuiltinForTinyOperands) {
   Matrix want(5, 3);
   BuiltinGemmBackend().MatMul(want, a, b);
   ExpectBitEqual(MatMul(a, b), want, "tiny fallback");
+}
+
+TEST_F(GemmBackendTest, MostlyZeroVerdictIsExactAtTheSeventyPercentLine) {
+  // 1001-element left operands (70% is 700.7) with 701 exact zeros
+  // (sparse: the builtin zero-skip kernel, bit-identical) or 700 (dense:
+  // the broken library hook), the zeros placed first or last so the
+  // density scan settles at different points of the operand.
+  SetGemmBackend("broken-test");
+  const Matrix b = PseudoRandom(143, 40, 25);
+  for (const int zeros : {700, 701}) {
+    for (const bool zeros_first : {true, false}) {
+      SCOPED_TRACE("zeros=" + std::to_string(zeros) +
+                   (zeros_first ? " first" : " last"));
+      Matrix a = PseudoRandom(7, 143, 26);
+      for (float& v : a.flat()) {
+        if (v == 0.0f) v = 1.0f;
+      }
+      for (std::size_t i = 0; i < static_cast<std::size_t>(zeros); ++i) {
+        a.data()[zeros_first ? i : a.size() - 1 - i] = 0.0f;
+      }
+      Matrix want(7, 40);
+      BuiltinGemmBackend().MatMul(want, a, b);
+      const Matrix got = MatMul(a, b);
+      if (zeros == 701) {
+        ExpectBitEqual(got, want, "sparse verdict");
+      } else {
+        EXPECT_GT(MaxAbsDiff(got, want), 0.0f) << "dense verdict";
+      }
+    }
+  }
 }
 
 TEST_F(GemmBackendTest, SparseAEntryPointAlwaysRunsBuiltin) {

@@ -75,10 +75,14 @@ TEST_F(IntegrationTest, TrainedTileModelBeatsRandomScorer) {
       *tile_, kTest, *corpus_, core::MakeLearnedTileScorer(model, cache));
   // A hash-based pseudo-random scorer as the floor.
   const core::TileScorer random_scorer =
-      [](const data::TileKernelData& kernel, int c) {
-        return static_cast<double>(
-            sim::HashUnit(sim::HashCombine(kernel.record.fingerprint,
-                                           static_cast<std::uint64_t>(c))));
+      [](const data::TileKernelData& kernel) {
+        std::vector<double> scores;
+        for (size_t c = 0; c < kernel.configs.size(); ++c) {
+          scores.push_back(static_cast<double>(sim::HashUnit(
+              sim::HashCombine(kernel.record.fingerprint,
+                               static_cast<std::uint64_t>(c)))));
+        }
+        return scores;
       };
   const auto random = core::EvaluateTileTask(*tile_, kTest, *corpus_,
                                              random_scorer);

@@ -3,8 +3,11 @@
 // graph-structure construction.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <random>
+#include <span>
 #include <sstream>
+#include <vector>
 
 #include "nn/gnn.h"
 #include "nn/layers.h"
@@ -133,6 +136,160 @@ TEST(Adam, LearningRateDecay) {
   adam.DecayLearningRate();
   adam.DecayLearningRate();
   EXPECT_DOUBLE_EQ(adam.learning_rate(), 0.25);
+}
+
+// Adam::Step as the plain scalar loop it used to be, copied verbatim: the
+// reference its vectorized update must match bit for bit (same double
+// operations, and the same FMAs wherever the compiler contracts these
+// expressions).
+double ReferenceAdamStep(const AdamConfig& config, long step,
+                         std::span<Parameter* const> params) {
+  double norm_sq = 0;
+  for (const Parameter* p : params) {
+    for (const float g : p->grad.flat()) {
+      norm_sq += static_cast<double>(g) * g;
+    }
+  }
+  const double grad_norm = std::sqrt(norm_sq);
+
+  double scale = 1.0;
+  if (config.clip == GradClip::kNorm && grad_norm > config.clip_norm &&
+      grad_norm > 0) {
+    scale = config.clip_norm / grad_norm;
+  }
+
+  const double bc1 = 1.0 - std::pow(config.beta1, step);
+  const double bc2 = 1.0 - std::pow(config.beta2, step);
+  for (Parameter* p : params) {
+    if (p->adam_m.empty()) {
+      p->adam_m = Matrix(p->value.rows(), p->value.cols());
+      p->adam_v = Matrix(p->value.rows(), p->value.cols());
+    }
+    for (size_t i = 0; i < p->value.size(); ++i) {
+      const double g = static_cast<double>(p->grad.data()[i]) * scale;
+      const double m_new =
+          config.beta1 * p->adam_m.data()[i] + (1.0 - config.beta1) * g;
+      const double v_new =
+          config.beta2 * p->adam_v.data()[i] + (1.0 - config.beta2) * g * g;
+      p->adam_m.data()[i] = static_cast<float>(m_new);
+      p->adam_v.data()[i] = static_cast<float>(v_new);
+      const double m_hat = m_new / bc1;
+      const double v_hat = v_new / bc2;
+      p->value.data()[i] -= static_cast<float>(
+          config.learning_rate * m_hat / (std::sqrt(v_hat) + config.epsilon));
+    }
+    p->grad.SetZero();
+  }
+  return grad_norm;
+}
+
+void ExpectBitEqualFloats(const Matrix& got, const Matrix& want,
+                          const std::string& what) {
+  ASSERT_TRUE(got.same_shape(want)) << what;
+  for (size_t i = 0; i < got.size(); ++i) {
+    ASSERT_EQ(got.data()[i], want.data()[i]) << what << " flat index " << i;
+  }
+}
+
+// Sizes 1, 3, 7, 8, 17 and 4101 put every tensor's tail (size mod the
+// vector width) through the padded-lane path at least once; the clipped run
+// clips on some steps and not on others.
+TEST(Adam, StepIsBitIdenticalToScalarReference) {
+  const int sizes[] = {1, 3, 7, 8, 17, 4101};
+  for (const bool clip : {false, true}) {
+    SCOPED_TRACE(clip ? "clip=norm" : "clip=none");
+    AdamConfig config;
+    config.learning_rate = 3e-3;
+    config.clip = clip ? GradClip::kNorm : GradClip::kNone;
+    config.clip_norm = 80.0;
+    std::mt19937_64 rng(42);
+    std::normal_distribution<float> normal(0.0f, 1.0f);
+    std::vector<Parameter> got(std::size(sizes)), want(std::size(sizes));
+    for (size_t t = 0; t < std::size(sizes); ++t) {
+      got[t].value = Matrix(1, sizes[t]);
+      for (float& v : got[t].value.flat()) v = normal(rng);
+      got[t].grad = Matrix(1, sizes[t]);
+      want[t].value = got[t].value;
+      want[t].grad = Matrix(1, sizes[t]);
+    }
+    std::vector<Parameter*> got_ptrs, want_ptrs;
+    for (size_t t = 0; t < got.size(); ++t) {
+      got_ptrs.push_back(&got[t]);
+      want_ptrs.push_back(&want[t]);
+    }
+    Adam adam(config);
+    int clipped_steps = 0;
+    for (long step = 1; step <= 240; ++step) {
+      // Gradient scales that vary by step put the global norm on both
+      // sides of clip_norm.
+      const float spread = step % 5 == 0 ? 4.0f : 0.5f;
+      for (size_t t = 0; t < got.size(); ++t) {
+        for (size_t i = 0; i < got[t].grad.size(); ++i) {
+          const float g = normal(rng) * spread;
+          got[t].grad.data()[i] = g;
+          want[t].grad.data()[i] = g;
+        }
+      }
+      adam.Step(got_ptrs);
+      const double norm = ReferenceAdamStep(config, step, want_ptrs);
+      ASSERT_EQ(adam.last_grad_norm(), norm) << "step " << step;
+      clipped_steps += norm > config.clip_norm;
+    }
+    EXPECT_GT(clipped_steps, 0);
+    EXPECT_LT(clipped_steps, 240);
+    for (size_t t = 0; t < got.size(); ++t) {
+      const std::string what = "size " + std::to_string(sizes[t]);
+      ExpectBitEqualFloats(got[t].value, want[t].value, what + " value");
+      ExpectBitEqualFloats(got[t].adam_m, want[t].adam_m, what + " m");
+      ExpectBitEqualFloats(got[t].adam_v, want[t].adam_v, what + " v");
+      ExpectBitEqualFloats(got[t].grad, want[t].grad, what + " grad");
+    }
+  }
+}
+
+Matrix Uniform(int rows, int cols, std::mt19937_64& rng) {
+  std::uniform_real_distribution<float> dist(-1.0f, 1.0f);
+  Matrix m(rows, cols);
+  for (float& v : m.flat()) v = dist(rng);
+  return m;
+}
+
+// The gate pre-activation's dh GEMM runs on the caller's transposed weight
+// (MatMulAccum) and must give exactly what MatMulTransposeBAccum gives on
+// the weight itself.
+TEST(LstmGatePreact, BackwardOnTransposedWeightMatchesTransposeBAccum) {
+  std::mt19937_64 rng(5);
+  const int hidden = 8, batch = 3, gates = 4 * hidden;
+  const Matrix x_rows = Uniform(6, gates, rng);
+  const Matrix h0 = Uniform(batch, hidden, rng);
+  const Matrix w0 = Uniform(hidden, gates, rng);
+  const Matrix bias0 = Uniform(1, gates, rng);
+  const Matrix w_t = Transpose(w0);
+  const std::vector<int> ids = {4, 0, 2};
+
+  Tape tape(/*grad_enabled=*/true);
+  Tensor x = tape.Leaf(x_rows);
+  Tensor h = tape.Leaf(h0, /*requires_grad=*/true);
+  Tensor w = tape.Leaf(w0);
+  Tensor bias = tape.Leaf(bias0);
+  Tensor y = LstmGatePreactOp(tape, x, ids, h, w, &w_t, bias);
+  tape.Backward(SumAllOp(tape, y));  // dL/dy = 1 everywhere
+
+  Matrix want(batch, hidden);
+  Matrix ones(batch, gates);
+  for (float& v : ones.flat()) v = 1.0f;
+  MatMulTransposeBAccum(want, ones, w0);
+  ExpectBitEqualFloats(h.grad(), want, "dh");
+
+  Tape grad_tape(/*grad_enabled=*/true);
+  EXPECT_THROW(LstmGatePreactOp(grad_tape, grad_tape.Leaf(x_rows), ids,
+                                grad_tape.Leaf(h0, true), grad_tape.Leaf(w0),
+                                nullptr, grad_tape.Leaf(bias0)),
+               std::invalid_argument);
+  Tape inference(/*grad_enabled=*/false);
+  EXPECT_NO_THROW(LstmGatePreactOp(inference, inference.Leaf(x_rows), ids,
+                                   inference.Leaf(h0), inference.Leaf(w0),
+                                   nullptr, inference.Leaf(bias0)));
 }
 
 TEST(Dropout, InvertedScalingPreservesMeanAndZeroes) {
