@@ -127,10 +127,10 @@ const plan::CompiledPlan& SinglePlan() {
 }
 
 // Single-stream prediction latency, tape vs compiled-plan replay: the same
-// (kernel, tile) scored by a tape forward pass (tape build + per-op
-// dispatch) and by PredictWithPlan (static schedule over the preplanned
-// slab). Outputs are bit-identical; the gap is pure dispatch/allocation
-// overhead.
+// (kernel, tile) scored by a one-item ForwardBatch on a tape (batch packing,
+// tape build, per-op dispatch) and by PredictWithPlan (static schedule over
+// the preplanned slab). Outputs are bit-identical; the gap is pure
+// packing/dispatch/allocation overhead.
 void BM_PredictScoreLatencyTape(benchmark::State& state) {
   auto& f = F();
   for (auto _ : state) {
@@ -421,7 +421,6 @@ double TimeReps(Fn&& fn) {
 }
 
 struct TrainTaskReport {
-  double seed_steps_per_sec = 0;
   double fused_steps_per_sec = 0;
   double fused_threaded_steps_per_sec = 0;
   // Tape buffer requests per step == per-step heap allocations without the
@@ -432,22 +431,13 @@ struct TrainTaskReport {
   double warm_heap_allocations_per_step = 0;
 };
 
-// Trains the batch-32 minibatch in three modes — seed per-op backward (the
-// pre-fusion path, no arena), fused backward + arena on 1 thread, and fused
-// on the pool — and counts per-step tape allocations through the arena.
+// Trains the batch-32 minibatch with the fused backward + arena on 1 thread
+// and on the pool, and counts per-step tape allocations through the arena.
 TrainTaskReport ReportTrainingTask(TrainBatch32& b, int pool_threads) {
   auto& f = F();
   TrainTaskReport r;
 
   core::ThreadPool::SetNumThreads(1);
-  {
-    nn::SetFusedOps(false);
-    core::LearnedCostModel model = b.MakeModel(f);
-    nn::Adam adam(nn::AdamConfig{});
-    nn::Tape tape(/*grad_enabled=*/true);
-    r.seed_steps_per_sec = 1.0 / TimeReps([&] { b.Step(model, adam, tape); });
-    nn::SetFusedOps(true);
-  }
   {
     core::LearnedCostModel model = b.MakeModel(f);
     nn::Adam adam(nn::AdamConfig{});
@@ -482,14 +472,11 @@ TrainTaskReport ReportTrainingTask(TrainBatch32& b, int pool_threads) {
 void PrintTrainTask(const char* name, const TrainTaskReport& r,
                     int pool_threads) {
   std::printf("%s:\n", name);
-  std::printf("  seed backward  (1 thread):  %8.1f steps/s\n",
-              r.seed_steps_per_sec);
-  std::printf("  fused + arena  (1 thread):  %8.1f steps/s  (%.2fx)\n",
-              r.fused_steps_per_sec,
-              r.fused_steps_per_sec / r.seed_steps_per_sec);
+  std::printf("  fused + arena  (1 thread):  %8.1f steps/s\n",
+              r.fused_steps_per_sec);
   std::printf("  fused + arena (%2d threads): %8.1f steps/s  (%.2fx)\n",
               pool_threads, r.fused_threaded_steps_per_sec,
-              r.fused_threaded_steps_per_sec / r.seed_steps_per_sec);
+              r.fused_threaded_steps_per_sec / r.fused_steps_per_sec);
   std::printf(
       "  tape allocations/step: %.0f without arena -> %.1f warm misses "
       "(cold step: %.0f)\n",
@@ -499,14 +486,10 @@ void PrintTrainTask(const char* name, const TrainTaskReport& r,
 
 void PrintTrainTaskJson(FILE* json, const char* prefix,
                         const TrainTaskReport& r) {
-  std::fprintf(json, "  \"%s_seed_steps_per_sec\": %.2f,\n", prefix,
-               r.seed_steps_per_sec);
   std::fprintf(json, "  \"%s_fused_steps_per_sec\": %.2f,\n", prefix,
                r.fused_steps_per_sec);
   std::fprintf(json, "  \"%s_fused_threaded_steps_per_sec\": %.2f,\n", prefix,
                r.fused_threaded_steps_per_sec);
-  std::fprintf(json, "  \"%s_fused_speedup_vs_seed\": %.3f,\n", prefix,
-               r.fused_steps_per_sec / r.seed_steps_per_sec);
   std::fprintf(json, "  \"%s_allocations_per_step_no_arena\": %.1f,\n",
                prefix, r.buffer_requests_per_step);
   std::fprintf(json, "  \"%s_allocations_per_step_arena\": %.2f,\n", prefix,
@@ -542,8 +525,8 @@ void RegisterPerBackendBenchmarks() {
 
 // Times batch-32 prediction against 32 sequential predictions on the same
 // inputs — single-threaded AND on the worker pool — plus batch-32 TRAINING
-// steps (forward + loss + backward + Adam) with the seed per-op backward vs
-// the fused backward + tape arena. Printed after the google-benchmark table
+// steps (forward + loss + backward + Adam) with the fused backward + tape
+// arena, on 1 thread and on the pool. Printed after the google-benchmark table
 // so the speedups, allocation counts, and parity bounds are visible in one
 // run, and written to BENCH_results.json so the perf trajectory is
 // machine-readable across PRs.
@@ -616,7 +599,7 @@ void ReportBatchedThroughput() {
   std::printf("max |threaded - batched|   = %.3g (must be 0)\n",
               max_thread_diff);
 
-  // ---- Training throughput (batch-32 minibatch, fused vs seed backward) ----
+  // ---- Training throughput (batch-32 minibatch, 1 thread vs the pool) ------
   std::printf("\n--- Training-step report (batch=%d) ---\n",
               TrainBatch32::kBatch);
   const TrainTaskReport rank_report = ReportTrainingTask(RankTrain32(),

@@ -53,7 +53,8 @@ struct BatchItem {
 enum class PlanUse {
   kHit,       // replayed a plan already in the model's cache
   kCompiled,  // compiled a plan for the batch's bucket, cached and replayed it
-  kTape,      // CompilePlan threw; scored on a grad-disabled tape instead
+  kTape,      // CompilePlan threw; scored by ForwardBatch on a grad-disabled
+              // tape instead
 };
 
 // N prepared kernels packed into one batch: concatenated node features, a
@@ -104,7 +105,8 @@ class LearnedCostModel {
   // ---- Prediction ----------------------------------------------------------
   // Raw model output for a kernel (+ optional tile config). For rank-loss
   // models this is a unitless score (lower = faster); for log-target models
-  // it is log(seconds). Replays a cached plan like PredictBatch.
+  // it is log(seconds). Replays a cached plan like PredictBatch, and like it
+  // falls back to the tape (as a one-item batch) when CompilePlan throws.
   double PredictScore(const PreparedKernel& kernel,
                       const ir::TileConfig* tile = nullptr) const;
   // Absolute runtime in seconds (applies exp() for log-target models).
@@ -119,9 +121,10 @@ class LearnedCostModel {
   // Every Predict* entry point replays a compiled plan from the model's own
   // PlanCache (core/plan_cache.h), compiling one for the batch's shape
   // bucket on a miss. Only when CompilePlan throws (an injected
-  // plan.compile_fail, fused ops off, a configuration the planner rejects)
-  // does the call run the tape instead. Plan and tape are bit-identical, so
-  // the route never changes a score; `use`, when given, reports it.
+  // plan.compile_fail, a configuration the planner rejects) does the call
+  // run ForwardBatch on a grad-disabled tape instead. Plan and tape are
+  // bit-identical, so the route never changes a score; `use`, when given,
+  // reports it.
   std::vector<double> PredictBatch(const PreparedBatch& batch,
                                    PlanUse* use = nullptr) const;
   // As PredictBatch, but in seconds (applies exp() for log-target models).
@@ -134,9 +137,9 @@ class LearnedCostModel {
   // this model's live parameter matrices and copies none of their values,
   // so it stays valid across parameter updates (the model must outlive it).
   // Replay is bit-identical to a tape forward pass at any thread-pool width.
-  // Requires fitted scalers and nn::FusedOpsEnabled(); throws
-  // std::logic_error otherwise. `poison_dead_buffers` enables the
-  // plan_test debug mode that NaN-fills retired buffers.
+  // Requires fitted scalers; throws std::logic_error otherwise, and for
+  // configurations the planner cannot compile. `poison_dead_buffers`
+  // enables the plan_test debug mode that NaN-fills retired buffers.
   std::shared_ptr<const plan::CompiledPlan> CompilePlan(
       int max_kernels, int max_total_nodes,
       bool poison_dead_buffers = false) const;
@@ -148,14 +151,10 @@ class LearnedCostModel {
   std::vector<double> PredictBatchWithPlan(const plan::CompiledPlan& plan,
                                            const PreparedBatch& batch) const;
 
-  // Differentiable forward pass used by the trainer. `tape` must outlive the
-  // returned tensor. `training` enables dropout.
-  nn::Tensor Forward(nn::Tape& tape, const PreparedKernel& kernel,
-                     const ir::TileConfig* tile, bool training);
-
-  // Differentiable batched forward: returns a [B, 1] tensor of scores.
-  // `batch` must outlive `tape` (the tape's closures reference its adjacency
-  // blocks).
+  // The model's one differentiable forward pass (the trainer's, and the
+  // tape fallback of every Predict* call): returns a [B, 1] tensor of
+  // scores. `batch` must outlive `tape` (the tape's closures reference its
+  // adjacency blocks). `training` enables dropout.
   nn::Tensor ForwardBatch(nn::Tape& tape, const PreparedBatch& batch,
                           bool training);
 
@@ -174,9 +173,9 @@ class LearnedCostModel {
   // replay alike — with the matching GEMM backend ("quant-int8"/"fp16")
   // via a thread-local dispatch override. Plans compiled before or after
   // the switch replay the same instruction schedule against the current
-  // (quantized) parameter bindings. Call after training/Load: Forward and
-  // ForwardBatch throw std::logic_error when invoked with training=true at
-  // a reduced precision, and Save refuses while one is active.
+  // (quantized) parameter bindings. Call after training/Load: ForwardBatch
+  // throws std::logic_error when invoked with training=true at a reduced
+  // precision, and Save refuses while one is active.
   void SetPrecision(nn::Precision p);
   nn::Precision precision() const noexcept { return precision_; }
 
@@ -198,9 +197,6 @@ class LearnedCostModel {
   void LoadFromFile(const std::string& path);
 
  private:
-  nn::Tensor ForwardImpl(nn::Tape& tape, const PreparedKernel& kernel,
-                         const ir::TileConfig* tile, bool training,
-                         std::mt19937_64& dropout_rng) const;
   nn::Tensor ForwardBatchImpl(nn::Tape& tape, const PreparedBatch& batch,
                               bool training,
                               std::mt19937_64& dropout_rng) const;
@@ -209,6 +205,9 @@ class LearnedCostModel {
   std::shared_ptr<const plan::CompiledPlan> PlanFor(int num_kernels,
                                                     int total_nodes,
                                                     PlanUse* use) const;
+  // Scores `batch` by ForwardBatch on a grad-disabled tape at the model's
+  // precision: the fallback when CompilePlan throws.
+  std::vector<double> TapeScores(const PreparedBatch& batch) const;
   // Scales a tile config's features into a float row.
   std::vector<float> ScaledTileFeatures(const ir::TileConfig& tile) const;
 

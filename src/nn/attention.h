@@ -1,15 +1,13 @@
 // Multi-head self-attention and the Transformer encoder layer used as the
 // global kernel-embedding reduction (paper §3.2, reduction option 3).
 //
-// Each class has two Forward overloads: the single-sequence form over an
-// [n, dim] input, and a batched form over a packed [N, dim] input whose row
-// segments (delimited by `offsets`, B+1 entries) are independent sequences.
-// In the batched form all dense transforms (q/k/v projections, layer norms,
-// the FFN) run as single GEMMs over the whole packed batch, and attention is
-// applied block-diagonally through BlockDiagSelfAttentionOp so sequences
-// never attend across segments — one differentiable op whose forward AND
-// backward shard segments across core::ThreadPool. Row-for-row identical to
-// running the single-sequence Forward per segment.
+// Every Forward runs over a packed [N, dim] input whose row segments
+// (delimited by `offsets`, B+1 entries) are independent sequences; a single
+// sequence is offsets {0, n}. All dense transforms (q/k/v projections,
+// layer norms, the FFN) run as single GEMMs over the whole packed batch, and
+// attention is applied block-diagonally through BlockDiagSelfAttentionOp so
+// sequences never attend across segments — one differentiable op whose
+// forward AND backward shard segments across core::ThreadPool.
 #pragma once
 
 #include <random>
@@ -22,15 +20,14 @@
 
 namespace tpuperf::nn {
 
-// Scaled dot-product multi-head self-attention over [n, dim] inputs.
+// Scaled dot-product multi-head self-attention over packed [N, dim] inputs.
 class MultiHeadSelfAttention {
  public:
   MultiHeadSelfAttention() = default;
   MultiHeadSelfAttention(ParamStore& store, const std::string& name, int dim,
                          int num_heads, std::mt19937_64& rng);
 
-  Tensor Forward(Tape& tape, Tensor x) const;
-  // Batched: block-diagonal attention over the packed segments of `x`.
+  // Block-diagonal attention over the packed segments of `x`.
   Tensor Forward(Tape& tape, Tensor x, std::span<const int> offsets) const;
 
   struct Head {
@@ -55,7 +52,6 @@ class TransformerEncoderLayer {
   TransformerEncoderLayer(ParamStore& store, const std::string& name, int dim,
                           int num_heads, std::mt19937_64& rng);
 
-  Tensor Forward(Tape& tape, Tensor x) const;
   Tensor Forward(Tape& tape, Tensor x, std::span<const int> offsets) const;
 
   // Structural accessors for the plan compiler (src/plan).
@@ -80,7 +76,6 @@ class TransformerEncoder {
   TransformerEncoder(ParamStore& store, const std::string& name, int dim,
                      int num_heads, int num_layers, std::mt19937_64& rng);
 
-  Tensor Forward(Tape& tape, Tensor x) const;
   Tensor Forward(Tape& tape, Tensor x, std::span<const int> offsets) const;
 
   const std::vector<TransformerEncoderLayer>& layers() const noexcept {

@@ -80,29 +80,6 @@ GraphSageLayer::GraphSageLayer(ParamStore& store, const std::string& name,
 }
 
 Tensor GraphSageLayer::Forward(Tape& tape, Tensor h,
-                               const GraphStructure& gs) const {
-  Tensor out;
-  if (directed_) {
-    Tensor msg_in = MatMulConstA(
-        tape, gs.in_agg, ReluOp(tape, f2_in_.Forward(tape, h)));
-    Tensor msg_out = MatMulConstA(
-        tape, gs.out_agg, ReluOp(tape, f2_out_.Forward(tape, h)));
-    const Tensor parts[] = {h, msg_in, msg_out};
-    out = f3_.Forward(tape, ConcatColsOp(tape, parts));
-  } else {
-    // Undirected ablation: same feedforward for both directions, aggregated
-    // over the symmetric neighborhood (sym_norm, precomputed at build time).
-    Tensor msg =
-        MatMulConstA(tape, gs.sym_norm, ReluOp(tape, f2_in_.Forward(tape, h)));
-    const Tensor parts[] = {h, msg};
-    out = f3_.Forward(tape, ConcatColsOp(tape, parts));
-  }
-  out = ReluOp(tape, out);
-  if (l2_normalize_) out = RowL2NormalizeOp(tape, out);
-  return out;
-}
-
-Tensor GraphSageLayer::Forward(Tape& tape, Tensor h,
                                const BatchedGraphStructure& gs) const {
   std::vector<const Matrix*> blocks(gs.blocks.size());
   Tensor out;
@@ -122,6 +99,8 @@ Tensor GraphSageLayer::Forward(Tape& tape, Tensor h,
     const Tensor parts[] = {h, msg_in, msg_out};
     out = f3_.Forward(tape, ConcatColsOp(tape, parts));
   } else {
+    // Undirected ablation: same feedforward for both directions, aggregated
+    // over the symmetric neighborhood (sym_norm, precomputed at build time).
     for (size_t b = 0; b < gs.blocks.size(); ++b) {
       blocks[b] = &gs.blocks[b]->sym_norm;
     }
@@ -156,33 +135,12 @@ GatLayer::GatLayer(ParamStore& store, const std::string& name, int dim,
 }
 
 Tensor GatLayer::Forward(Tape& tape, Tensor h,
-                         const GraphStructure& gs) const {
-  if (heads_.empty()) throw std::logic_error("GatLayer: uninitialized");
-  std::vector<Tensor> head_outputs;
-  head_outputs.reserve(heads_.size());
-  for (const Head& head : heads_) {
-    Tensor wh = head.w.Forward(tape, h);  // [n, head_dim]
-    Tensor s = MatMulOp(tape, wh, tape.ParamLeaf(*head.a_src));  // [n, 1]
-    Tensor d = MatMulOp(tape, wh, tape.ParamLeaf(*head.a_dst));  // [n, 1]
-    Tensor logits = LeakyReluOp(tape, OuterSumOp(tape, s, d), 0.2f);
-    Tensor attn = MaskedSoftmaxRowsOp(tape, logits, gs.sym_mask);
-    head_outputs.push_back(MatMulOp(tape, attn, wh));
-  }
-  Tensor merged = ConcatColsOp(tape, head_outputs);
-  return ReluOp(tape, merge_.Forward(tape, merged));
-}
-
-Tensor GatLayer::Forward(Tape& tape, Tensor h,
                          const BatchedGraphStructure& gs) const {
   if (heads_.empty()) throw std::logic_error("GatLayer: uninitialized");
-  const int batch = gs.num_graphs();
-  const bool fused = FusedOpsEnabled();
   std::vector<const Matrix*> masks;
-  if (fused) {
-    masks.reserve(gs.blocks.size());
-    for (const GraphStructure* block : gs.blocks) {
-      masks.push_back(&block->sym_mask);
-    }
+  masks.reserve(gs.blocks.size());
+  for (const GraphStructure* block : gs.blocks) {
+    masks.push_back(&block->sym_mask);
   }
   std::vector<Tensor> head_outputs;
   head_outputs.reserve(heads_.size());
@@ -191,29 +149,11 @@ Tensor GatLayer::Forward(Tape& tape, Tensor h,
     Tensor wh = head.w.Forward(tape, h);  // [N, head_dim]
     Tensor s = MatMulOp(tape, wh, tape.ParamLeaf(*head.a_src));  // [N, 1]
     Tensor d = MatMulOp(tape, wh, tape.ParamLeaf(*head.a_dst));  // [N, 1]
-    // Attention stays per segment: nodes never attend across kernels.
-    if (fused) {
-      // One fused op per head: every segment's masked attention in one
-      // tape node whose forward and backward shard segments across the
-      // pool (the seed per-segment op loop below serializes the backward).
-      head_outputs.push_back(
-          BlockDiagGatAttentionOp(tape, s, d, wh, masks, gs.offsets, 0.2f));
-    } else {
-      std::vector<Tensor> segs;
-      segs.reserve(static_cast<size_t>(batch));
-      for (int b = 0; b < batch; ++b) {
-        const int begin = gs.offsets[static_cast<size_t>(b)];
-        const int len = gs.offsets[static_cast<size_t>(b) + 1] - begin;
-        Tensor wh_b = SliceRowsOp(tape, wh, begin, len);
-        Tensor s_b = SliceRowsOp(tape, s, begin, len);
-        Tensor d_b = SliceRowsOp(tape, d, begin, len);
-        Tensor logits = LeakyReluOp(tape, OuterSumOp(tape, s_b, d_b), 0.2f);
-        Tensor attn = MaskedSoftmaxRowsOp(
-            tape, logits, gs.blocks[static_cast<size_t>(b)]->sym_mask);
-        segs.push_back(MatMulOp(tape, attn, wh_b));
-      }
-      head_outputs.push_back(ConcatRowsOp(tape, segs));
-    }
+    // Attention stays per segment (nodes never attend across kernels): one
+    // fused op per head holds every segment's masked attention in one tape
+    // node whose forward and backward shard segments across the pool.
+    head_outputs.push_back(
+        BlockDiagGatAttentionOp(tape, s, d, wh, masks, gs.offsets, 0.2f));
   }
   Tensor merged = ConcatColsOp(tape, head_outputs);
   return ReluOp(tape, merge_.Forward(tape, merged));

@@ -1,8 +1,10 @@
 // Graph neural network layers: GraphSAGE (paper §3.2) and GAT (§6.2 Q3).
 //
-// Both operate on dense per-kernel inputs: a node-feature matrix [n, d] and
-// adjacency structure. Kernels in the datasets average ~41 nodes (paper §4),
-// so dense adjacency is the right trade-off here.
+// Both run over a packed batch of kernel graphs: a node-feature matrix
+// [N, d] holding every kernel's nodes, and the block-diagonal adjacency of
+// those kernels (BatchedGraphStructure). A single kernel is a batch of one.
+// Kernels in the datasets average ~41 nodes (paper §4), so dense per-kernel
+// adjacency blocks are the right trade-off here.
 #pragma once
 
 #include <random>
@@ -64,11 +66,9 @@ class GraphSageLayer {
   GraphSageLayer(ParamStore& store, const std::string& name, int dim,
                  bool directed, bool l2_normalize, std::mt19937_64& rng);
 
-  Tensor Forward(Tape& tape, Tensor h, const GraphStructure& gs) const;
-  // Batched forward over a packed batch: dense transforms (f2, f3) run as
-  // single large GEMMs over all nodes; aggregation applies each block of the
-  // block-diagonal adjacency to its row segment. Row-for-row identical to
-  // running Forward per kernel.
+  // Dense transforms (f2, f3) run as single large GEMMs over all nodes;
+  // aggregation applies each block of the block-diagonal adjacency to its
+  // row segment, so a kernel's rows never depend on its batch-mates.
   Tensor Forward(Tape& tape, Tensor h, const BatchedGraphStructure& gs) const;
 
   // Structural accessors for the plan compiler (src/plan).
@@ -93,10 +93,9 @@ class GatLayer {
   GatLayer(ParamStore& store, const std::string& name, int dim, int num_heads,
            std::mt19937_64& rng);
 
-  Tensor Forward(Tape& tape, Tensor h, const GraphStructure& gs) const;
-  // Batched forward: the per-head projections run as single GEMMs over all
-  // nodes; attention (inherently O(n^2) per graph) is applied per segment so
-  // nodes never attend across kernels.
+  // The per-head projections run as single GEMMs over all nodes; attention
+  // (inherently O(n^2) per graph) is applied per segment so nodes never
+  // attend across kernels.
   Tensor Forward(Tape& tape, Tensor h, const BatchedGraphStructure& gs) const;
 
   struct Head {

@@ -3,6 +3,13 @@
 // Each op computes the forward value eagerly and records a closure that
 // pushes d(out) into d(inputs). Every op here is covered by a numerical
 // gradient check in tests/nn_grad_test.cpp.
+//
+// Backward closures write gradients through the accumulate GEMM kernels
+// without materializing per-op temporaries, and elementwise backwards read
+// their operands from the tape nodes instead of captured copies. State a
+// backward needs beyond its operands (dropout masks, layer-norm xhat, LSTM
+// gates, attention probabilities) is stashed on the tape as arena-recycled
+// leaves.
 #pragma once
 
 #include <random>
@@ -12,18 +19,6 @@
 #include "nn/tape.h"
 
 namespace tpuperf::nn {
-
-// Runtime toggle between the fused training hot paths (default) and the
-// seed per-op implementations. Fused mode: block-diagonal attention ops
-// replace the per-segment GAT/Transformer loops, backward closures write
-// gradients through the accumulate GEMM kernels without materializing
-// per-op temporaries, and elementwise backwards read their operands from
-// the tape nodes instead of captured copies. Seed mode reproduces the
-// pre-fusion op sequence — kept as the reference for gradient-parity tests
-// and as the benchmark baseline. The same arithmetic is performed either
-// way; parameter gradients agree to float reassociation (~1e-7 relative).
-bool FusedOpsEnabled() noexcept;
-void SetFusedOps(bool enabled) noexcept;
 
 // y = a @ b.
 Tensor MatMulOp(Tape& tape, Tensor a, Tensor b);
@@ -116,10 +111,12 @@ Tensor BlockDiagMatMulConstA(Tape& tape,
 
 // ---- Fused block-diagonal masked attention ---------------------------------
 // Both ops pack every attention segment of a batch into ONE differentiable
-// tape node: the forward shards segments across core::ThreadPool, and —
-// unlike the per-segment op loops they replace — so does the fused backward
-// closure (each segment touches a disjoint row range of every operand's
-// grad, so the partitioning is bit-identical at any pool width). Attention
+// tape node whose forward and backward both shard segments across
+// core::ThreadPool (each segment touches a disjoint row range of every
+// operand's grad, so the partitioning is bit-identical at any pool width).
+// tests/nn_grad_test.cpp checks each against the per-segment op chain it
+// packs (MatMul/Softmax/MatMul, OuterSum/LeakyRelu/MaskedSoftmax/MatMul).
+// Attention
 // probabilities are saved on the tape itself (an arena-recycled stash leaf),
 // not in closure captures.
 

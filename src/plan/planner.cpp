@@ -13,7 +13,6 @@
 #include "core/cost_model.h"
 #include "core/fault_injection.h"
 #include "features/featurizer.h"
-#include "nn/ops.h"
 #include "plan/plan.h"
 
 namespace tpuperf::core {
@@ -267,11 +266,6 @@ std::shared_ptr<const plan::CompiledPlan> LearnedCostModel::CompilePlan(
   MaybeInjectFault("plan.compile_fail");
   if (!fitted_) {
     throw std::logic_error("CompilePlan: scalers not fitted");
-  }
-  if (!nn::FusedOpsEnabled()) {
-    // The plan replays the fused batched op sequence; with fused ops off the
-    // tape takes the seed per-segment paths, which associate differently.
-    throw std::logic_error("CompilePlan: requires fused ops enabled");
   }
   if (max_kernels < 1 || max_total_nodes < max_kernels) {
     throw std::invalid_argument("CompilePlan: bad capacities");

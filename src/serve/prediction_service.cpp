@@ -122,8 +122,8 @@ void NoteReducedPrecision(const core::LearnedCostModel& model,
 
 // Scores a packed batch through the model's plan cache and counts how the
 // batch was scored. A compile failure (a configuration the planner rejects,
-// fused ops disabled, an injected plan.compile_fail) has already fallen back
-// to the bit-identical tape inside PredictBatch.
+// an injected plan.compile_fail) has already fallen back to the
+// bit-identical tape inside PredictBatch.
 std::vector<double> ScorePacked(const core::LearnedCostModel& model,
                                 const core::PreparedBatch& packed,
                                 ServiceImpl& impl) {

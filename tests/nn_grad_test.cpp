@@ -17,9 +17,12 @@
 #include "nn/ops.h"
 #include "nn/rnn.h"
 #include "nn/tape.h"
+#include "grad_check.h"
 
 namespace tpuperf::nn {
 namespace {
+
+using testing_util::CheckParamGradients;
 
 Matrix RandomMatrix(int rows, int cols, std::mt19937_64& rng,
                     float scale = 1.0f) {
@@ -292,39 +295,8 @@ TEST(GradCheck, MseLogLoss) {
 }
 
 // ---- Layer-level checks: gradients flow through parameters --------------
-
-// Wraps parameter gradients: builds the module once, then checks gradient of
-// loss wrt a chosen parameter numerically by perturbing param values.
-void CheckParamGradients(ParamStore& store,
-                         const std::function<double(Tape&)>& forward_loss,
-                         float tolerance = 3e-2f, float h = 1e-3f) {
-  store.ZeroGrad();
-  {
-    Tape tape(true);
-    // Rebuild loss and backprop.
-    Tape* tp = &tape;
-    Matrix loss(1, 1);
-    loss.at(0, 0) = static_cast<float>(forward_loss(*tp));
-    // forward_loss is expected to run Backward itself when grads enabled.
-  }
-  for (Parameter* p : store.params()) {
-    for (size_t i = 0; i < std::min<size_t>(p->value.size(), 4); ++i) {
-      const float original = p->value.data()[i];
-      p->value.data()[i] = original + h;
-      Tape tp(false);
-      const double plus = forward_loss(tp);
-      p->value.data()[i] = original - h;
-      Tape tm(false);
-      const double minus = forward_loss(tm);
-      p->value.data()[i] = original;
-      const double numeric = (plus - minus) / (2.0 * h);
-      const double got = p->grad.data()[i];
-      const double denom = std::max({1.0, std::abs(numeric), std::abs(got)});
-      EXPECT_NEAR(got / denom, numeric / denom, tolerance)
-          << p->name << " entry " << i;
-    }
-  }
-}
+// The graph and attention modules run over packed batches of at least two
+// segments, the layout ForwardBatch (and so the trainer) gives them.
 
 TEST(GradCheck, LinearAndMlpParams) {
   std::mt19937_64 rng(20);
@@ -374,10 +346,11 @@ TEST(GradCheck, TransformerParams) {
   std::mt19937_64 rng(23);
   ParamStore store;
   TransformerEncoder enc(store, "tx", 4, 2, 1, rng);
-  const Matrix x = RandomMatrix(3, 4, rng);
+  const std::vector<int> offsets = {0, 3, 5};
+  const Matrix x = RandomMatrix(5, 4, rng);
   const auto loss_fn = [&](Tape& tape) {
     Tensor in = tape.Leaf(x);
-    Tensor y = enc.Forward(tape, in);
+    Tensor y = enc.Forward(tape, in, offsets);
     Tensor loss = SumAllOp(tape, MulOp(tape, y, y));
     if (tape.grad_enabled()) tape.Backward(loss);
     return static_cast<double>(loss.scalar());
@@ -390,13 +363,18 @@ TEST(GradCheck, GraphSageParams) {
   ParamStore store;
   GraphSageLayer layer(store, "sage", 4, /*directed=*/true,
                        /*l2_normalize=*/true, rng);
-  const std::vector<std::vector<int>> operands = {{}, {0}, {0, 1}, {2}};
-  const GraphStructure gs = BuildGraphStructure(operands);
-  const Matrix x = RandomMatrix(4, 4, rng);
+  const GraphStructure g0 = BuildGraphStructure({{}, {0}, {0, 1}, {2}});
+  const GraphStructure g1 = BuildGraphStructure({{}, {0}, {1}});
+  const GraphStructure* blocks[] = {&g0, &g1};
+  const BatchedGraphStructure gs = PackGraphStructures(blocks);
+  const Matrix x = RandomMatrix(7, 4, rng);
+  // Output rows are l2-normalized, so sum(y * y) would be constant: weight
+  // them instead.
+  const Matrix w = RandomMatrix(7, 4, rng);
   const auto loss_fn = [&](Tape& tape) {
     Tensor in = tape.Leaf(x);
     Tensor y = layer.Forward(tape, in, gs);
-    Tensor loss = SumAllOp(tape, MulOp(tape, y, y));
+    Tensor loss = SumAllOp(tape, MulOp(tape, y, tape.Leaf(w)));
     if (tape.grad_enabled()) tape.Backward(loss);
     return static_cast<double>(loss.scalar());
   };
@@ -407,9 +385,11 @@ TEST(GradCheck, GatParams) {
   std::mt19937_64 rng(25);
   ParamStore store;
   GatLayer layer(store, "gat", 4, /*num_heads=*/2, rng);
-  const std::vector<std::vector<int>> operands = {{}, {0}, {0, 1}, {2}};
-  const GraphStructure gs = BuildGraphStructure(operands);
-  const Matrix x = RandomMatrix(4, 4, rng);
+  const GraphStructure g0 = BuildGraphStructure({{}, {0}, {0, 1}, {2}});
+  const GraphStructure g1 = BuildGraphStructure({{}, {0}, {1}});
+  const GraphStructure* blocks[] = {&g0, &g1};
+  const BatchedGraphStructure gs = PackGraphStructures(blocks);
+  const Matrix x = RandomMatrix(7, 4, rng);
   const auto loss_fn = [&](Tape& tape) {
     Tensor in = tape.Leaf(x);
     Tensor y = layer.Forward(tape, in, gs);
@@ -517,6 +497,94 @@ TEST(GradCheck, BlockDiagGatAttentionMatchesOpChain) {
   EXPECT_LT(MaxAbsDiff(fwh.grad(), swh.grad()), 1e-5f);
 }
 
+// The fused self-attention op against the per-segment op chain it packs:
+// Scale(MatMul(q, Transpose(k))) -> SoftmaxRows -> MatMul(., v).
+TEST(GradCheck, BlockDiagSelfAttentionMatchesOpChain) {
+  std::mt19937_64 rng(36);
+  const std::vector<int> offsets = {0, 3, 5, 9};
+  const float scale = 0.5f;
+  const Matrix q0 = RandomMatrix(9, 4, rng);
+  const Matrix k0 = RandomMatrix(9, 4, rng);
+  const Matrix v0 = RandomMatrix(9, 3, rng);
+
+  Tape fused_tape(/*grad_enabled=*/true);
+  Tensor fq = fused_tape.Leaf(q0, true);
+  Tensor fk = fused_tape.Leaf(k0, true);
+  Tensor fv = fused_tape.Leaf(v0, true);
+  Tensor fy = BlockDiagSelfAttentionOp(fused_tape, fq, fk, fv, offsets, scale);
+  fused_tape.Backward(SumAllOp(fused_tape, MulOp(fused_tape, fy, fy)));
+
+  Tape chain_tape(/*grad_enabled=*/true);
+  Tensor cq = chain_tape.Leaf(q0, true);
+  Tensor ck = chain_tape.Leaf(k0, true);
+  Tensor cv = chain_tape.Leaf(v0, true);
+  std::vector<Tensor> segs;
+  for (size_t b = 0; b + 1 < offsets.size(); ++b) {
+    const int begin = offsets[b];
+    const int len = offsets[b + 1] - begin;
+    Tensor q_b = SliceRowsOp(chain_tape, cq, begin, len);
+    Tensor k_b = SliceRowsOp(chain_tape, ck, begin, len);
+    Tensor v_b = SliceRowsOp(chain_tape, cv, begin, len);
+    Tensor scores = ScaleOp(
+        chain_tape, MatMulOp(chain_tape, q_b, TransposeOp(chain_tape, k_b)),
+        scale);
+    Tensor attn = SoftmaxRowsOp(chain_tape, scores);
+    segs.push_back(MatMulOp(chain_tape, attn, v_b));
+  }
+  Tensor cy = ConcatRowsOp(chain_tape, segs);
+  chain_tape.Backward(SumAllOp(chain_tape, MulOp(chain_tape, cy, cy)));
+
+  EXPECT_LT(MaxAbsDiff(fy.value(), cy.value()), 1e-6f);
+  EXPECT_LT(MaxAbsDiff(fq.grad(), cq.grad()), 1e-5f);
+  EXPECT_LT(MaxAbsDiff(fk.grad(), ck.grad()), 1e-5f);
+  EXPECT_LT(MaxAbsDiff(fv.grad(), cv.grad()), 1e-5f);
+}
+
+// The block-sparse adjacency product against MatMulConstA applied to each
+// block's rows on its own: the same zero-skipping multiply-adds in the same
+// order, so forward values and x-gradients agree bit for bit.
+TEST(GradCheck, BlockDiagMatMulConstAMatchesPerBlock) {
+  std::mt19937_64 rng(37);
+  const GraphStructure g0 = BuildGraphStructure({{}, {0}, {0, 1}, {2}});
+  const GraphStructure g1 = BuildGraphStructure({{}, {0}, {0, 1}});
+  const std::vector<const Matrix*> blocks = {&g0.in_agg, &g1.out_agg};
+  const std::vector<int> offsets = {0, 4, 7};
+  const Matrix x0 = RandomMatrix(7, 5, rng);
+  const Matrix weights = RandomMatrix(7, 5, rng);
+
+  Tape packed_tape(/*grad_enabled=*/true);
+  Tensor px = packed_tape.Leaf(x0, true);
+  Tensor py = BlockDiagMatMulConstA(packed_tape, blocks, offsets, px);
+  packed_tape.Backward(
+      SumAllOp(packed_tape, MulOp(packed_tape, py, packed_tape.Leaf(weights))));
+
+  for (size_t b = 0; b < blocks.size(); ++b) {
+    const int begin = offsets[b];
+    const int len = offsets[b + 1] - begin;
+    Matrix xb(len, x0.cols());
+    Matrix wb(len, x0.cols());
+    for (int i = 0; i < len; ++i) {
+      for (int j = 0; j < x0.cols(); ++j) {
+        xb.at(i, j) = x0.at(begin + i, j);
+        wb.at(i, j) = weights.at(begin + i, j);
+      }
+    }
+    Tape block_tape(/*grad_enabled=*/true);
+    Tensor bx = block_tape.Leaf(xb, true);
+    Tensor by = MatMulConstA(block_tape, *blocks[b], bx);
+    block_tape.Backward(
+        SumAllOp(block_tape, MulOp(block_tape, by, block_tape.Leaf(wb))));
+    for (int i = 0; i < len; ++i) {
+      for (int j = 0; j < x0.cols(); ++j) {
+        EXPECT_EQ(py.value().at(begin + i, j), by.value().at(i, j))
+            << "y block " << b << " (" << i << "," << j << ")";
+        EXPECT_EQ(px.grad().at(begin + i, j), bx.grad().at(i, j))
+            << "dx block " << b << " (" << i << "," << j << ")";
+      }
+    }
+  }
+}
+
 // ---- Arena-backed tapes ---------------------------------------------------
 
 // A tape reused across steps through a TapeArena must (a) produce the exact
@@ -602,13 +670,18 @@ TEST(GradCheck, UndirectedGraphSageParams) {
   ParamStore store;
   GraphSageLayer layer(store, "sage_u", 4, /*directed=*/false,
                        /*l2_normalize=*/true, rng);
-  const std::vector<std::vector<int>> operands = {{}, {0}, {0, 1}, {1, 2}};
-  const GraphStructure gs = BuildGraphStructure(operands);
-  const Matrix x = RandomMatrix(4, 4, rng);
+  const GraphStructure g0 = BuildGraphStructure({{}, {0}, {0, 1}, {1, 2}});
+  const GraphStructure g1 = BuildGraphStructure({{}, {0}, {0}});
+  const GraphStructure* blocks[] = {&g0, &g1};
+  const BatchedGraphStructure gs = PackGraphStructures(blocks);
+  const Matrix x = RandomMatrix(7, 4, rng);
+  // Output rows are l2-normalized, so sum(y * y) would be constant: weight
+  // them instead.
+  const Matrix w = RandomMatrix(7, 4, rng);
   const auto loss_fn = [&](Tape& tape) {
     Tensor in = tape.Leaf(x);
     Tensor y = layer.Forward(tape, in, gs);
-    Tensor loss = SumAllOp(tape, MulOp(tape, y, y));
+    Tensor loss = SumAllOp(tape, MulOp(tape, y, tape.Leaf(w)));
     if (tape.grad_enabled()) tape.Backward(loss);
     return static_cast<double>(loss.scalar());
   };

@@ -506,15 +506,11 @@ TEST(QuantModel, TrainingThrowsAtReducedPrecision) {
   ModelFixture fx(3);
   fx.model->SetPrecision(Precision::kInt8);
   nn::Tape tape(/*grad_enabled=*/true);
-  EXPECT_THROW(fx.model->Forward(tape, fx.prepared[0], &fx.tiles[0],
-                                 /*training=*/true),
-               std::logic_error);
   const core::PreparedBatch batch = fx.MakeBatch();
   EXPECT_THROW(fx.model->ForwardBatch(tape, batch, /*training=*/true),
                std::logic_error);
   // Inference-mode forwards still work.
-  EXPECT_NO_THROW(fx.model->Forward(tape, fx.prepared[0], &fx.tiles[0],
-                                    /*training=*/false));
+  EXPECT_NO_THROW(fx.model->ForwardBatch(tape, batch, /*training=*/false));
 }
 
 TEST(QuantModel, SaveRefusesReducedPrecisionAndLoadResets) {

@@ -3,8 +3,9 @@
 //
 // Every LearnedCostModel::Predict* entry point replays a compiled plan, so a
 // test that checks plan replay against "the tape" must build the tape
-// itself: Forward/ForwardBatch on a grad-disabled tape, at the model's
-// inference precision (as the fallback inside PredictBatch runs it).
+// itself: ForwardBatch on a grad-disabled tape, at the model's inference
+// precision (as the fallback inside PredictBatch runs it). A single kernel
+// is scored as a one-item batch, as PredictScore's fallback does.
 #pragma once
 
 #include <vector>
@@ -30,9 +31,8 @@ inline std::vector<double> TapeBatch(core::LearnedCostModel& model,
 inline double TapeScore(core::LearnedCostModel& model,
                         const core::PreparedKernel& kernel,
                         const ir::TileConfig* tile) {
-  const nn::ScopedPrecision scoped(model.precision());
-  nn::Tape tape(/*grad_enabled=*/false);
-  return model.Forward(tape, kernel, tile, /*training=*/false).scalar();
+  const core::BatchItem item[] = {{&kernel, tile}};
+  return TapeBatch(model, model.PrepareBatch(item)).front();
 }
 
 }  // namespace tpuperf::testing_util
